@@ -148,6 +148,8 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		"diffgossip_service_folded_shards_total",
 		"diffgossip_service_campaign_steps_total",
 		"diffgossip_service_epoch_duration_seconds",
+		"diffgossip_service_shard_fold_duration_seconds",
+		"diffgossip_service_shard_freeze_duration_seconds",
 		"diffgossip_service_pending_entries",
 		// Store layer.
 		"diffgossip_store_ledger_entries_total",
@@ -336,10 +338,10 @@ func TestTraceEndpoint(t *testing.T) {
 			t.Fatalf("row %d has no timing: %+v", i, row)
 		}
 		for _, sh := range row.Shards {
-			if sh.DurationNs <= 0 || sh.Computed <= 0 || !sh.Converged {
+			if sh.DurationNs <= 0 || sh.FreezeNs <= 0 || sh.Computed <= 0 || !sh.Converged {
 				t.Fatalf("row %d shard trace wrong: %+v", i, sh)
 			}
-			if sh.StartOffsetNs < 0 || sh.StartOffsetNs > row.DurationNs {
+			if sh.StartOffsetNs < 0 || sh.StartOffsetNs+sh.FreezeNs+sh.DurationNs > row.DurationNs {
 				t.Fatalf("row %d shard start offset %d outside epoch window %d", i, sh.StartOffsetNs, row.DurationNs)
 			}
 		}

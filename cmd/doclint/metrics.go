@@ -30,16 +30,30 @@ var metricMethods = map[string]bool{
 // layers), lowercase with underscores.
 var metricNameRe = regexp.MustCompile(`^(dgserve|diffgossip)_[a-z][a-z0-9_]*$`)
 
+// catalogueDoc is the document, relative to the lint root, whose metric
+// catalogue section must name every metric registered under a literal name.
+const catalogueDoc = "docs/ARCHITECTURE.md"
+
+// catalogueHeading opens that section; it runs to the next heading of the
+// same or a higher level.
+const catalogueHeading = "### Metric catalogue"
+
+// catalogueNameRe matches a metric name opening a backticked span, so
+// `name{labels}` entries count by their bare name.
+var catalogueNameRe = regexp.MustCompile("`((?:dgserve|diffgossip)_[a-z0-9_]+)")
+
 // lintMetricRegistrations walks every non-test Go file under root and checks
 // the obs registration call sites whose metric name is a string literal:
 // the name must match the dgserve_/diffgossip_ naming contract, the help
-// string must be a non-empty literal, and no (name, labels) pair may be
-// registered twice. Call sites with computed names (the HTTP middleware's
-// per-prefix metrics) are covered by the -scrape mode instead, which applies
-// the same contract to a live exposition.
+// string must be a non-empty literal, no (name, labels) pair may be
+// registered twice, and — when root has a catalogueDoc — the name must appear
+// in its metric catalogue. Call sites with computed names (the HTTP
+// middleware's per-prefix metrics) are covered by the -scrape mode instead,
+// which applies the naming contract to a live exposition.
 func lintMetricRegistrations(root string) ([]string, error) {
 	var problems []string
-	seen := map[string]string{} // (name, labels) → first registration site
+	seen := map[string]string{}  // (name, labels) → first registration site
+	sites := map[string]string{} // name → first registration site
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -89,6 +103,9 @@ func lintMetricRegistrations(root string) ([]string, error) {
 			if l, ok := stringLit(call.Args[1]); ok {
 				labels = l
 			}
+			if _, ok := sites[name]; !ok {
+				sites[name] = at
+			}
 			key := name + "{" + labels + "}"
 			if first, dup := seen[key]; dup {
 				problems = append(problems, fmt.Sprintf(
@@ -103,7 +120,51 @@ func lintMetricRegistrations(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	catalogued, err := metricCatalogue(filepath.Join(root, catalogueDoc))
+	if err != nil {
+		return nil, err
+	}
+	if catalogued != nil {
+		for name, at := range sites {
+			if !catalogued[name] {
+				problems = append(problems, fmt.Sprintf(
+					"%s: metric %q is missing from the %s metric catalogue", at, name, catalogueDoc))
+			}
+		}
+	}
 	return problems, nil
+}
+
+// metricCatalogue returns the metric names listed in path's catalogue
+// section, or nil when path does not exist.
+func metricCatalogue(path string) (map[string]bool, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	names := map[string]bool{}
+	in := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "#") {
+			level := len(line) - len(strings.TrimLeft(line, "#"))
+			switch {
+			case strings.TrimSpace(line) == catalogueHeading:
+				in = true
+				continue
+			case in && level <= 3:
+				in = false
+			}
+		}
+		if in {
+			for _, m := range catalogueNameRe.FindAllStringSubmatch(line, -1) {
+				names[m[1]] = true
+			}
+		}
+	}
+	return names, nil
 }
 
 // stringLit unwraps an expression to its string-literal value, following

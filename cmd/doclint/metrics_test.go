@@ -55,6 +55,31 @@ func register(reg registry) {
 	}
 }
 
+// TestMetricsLintRequiresCatalogue: with a catalogue document present, every
+// literal registration must be named inside its metric catalogue section — a
+// mention elsewhere in the document does not count.
+func TestMetricsLintRequiresCatalogue(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"a.go": `package a
+
+func register(reg registry) {
+	reg.Histogram("diffgossip_listed_seconds", "", "In the catalogue.", nil)
+	reg.Counter("diffgossip_unlisted_total", "", "Only mentioned in prose.", nil)
+}
+`,
+		catalogueDoc: "# Doc\n\nProse mentions `diffgossip_unlisted_total`.\n\n" +
+			catalogueHeading + "\n\n| `diffgossip_listed_seconds{shard}` | histogram | listed |\n\n" +
+			"### Next section\n\n`diffgossip_unlisted_total` again, outside.\n",
+	})
+	problems, err := lintMetricRegistrations(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || !strings.Contains(problems[0], `"diffgossip_unlisted_total" is missing from the docs/ARCHITECTURE.md metric catalogue`) {
+		t.Fatalf("problems = %v, want exactly the unlisted metric", problems)
+	}
+}
+
 func TestMetricsLintIgnoresComputedNamesAndTests(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a.go": `package a

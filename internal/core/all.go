@@ -12,7 +12,7 @@ import (
 )
 
 // ColumnSource is the trust input a subject-subset aggregation folds from:
-// the live master matrix (the monolithic path) or a frozen per-shard
+// a trust.Matrix (the paper and simulator paths) or a frozen per-shard
 // trust.Columns (the sharded service's fold path).
 type ColumnSource interface {
 	// N is the node-id bound.
@@ -62,7 +62,8 @@ var (
 // p.Workers parallelises across subjects (0/1 sequential, negative =
 // GOMAXPROCS): workers pull campaigns longest-estimated-first from a shared
 // queue (scheduleOrder) and reuse their engines via Reset, so the
-// steady-state allocation per subject is just its result column.
+// steady-state allocation per subject is just its result column (nothing
+// under p.RootOnly).
 func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*SubjectsResult, error) {
 	p = p.withDefaults()
 	if g == nil || g.N() == 0 {
@@ -91,10 +92,13 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 
 	res := &SubjectsResult{
 		Subjects:       append([]int(nil), subjects...),
-		Columns:        make([][]float64, len(subjects)),
+		Global:         make([]float64, len(subjects)),
 		Raters:         make([]int, len(subjects)),
 		StepsBySubject: make([]int, len(subjects)),
 		Converged:      true,
+	}
+	if !p.RootOnly {
+		res.Columns = make([][]float64, len(subjects))
 	}
 	if p.KeepStates {
 		res.States = make([]*gossip.CampaignState, len(subjects))
@@ -126,6 +130,7 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 		sparse  map[int]*gossip.VectorEngine
 		sy, sg  []float64 // sparse seeds, sliced to the overlay size
 		est     []float64 // sparse estimate column
+		col     []float64 // result column buffer under RootOnly
 		ids     []int
 		vals    []float64
 	}
@@ -257,12 +262,18 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 		j := res.Subjects[s]
 		w.ids, w.vals = t.RatersOfInto(j, w.ids[:0], w.vals[:0])
 		ids, vals := w.ids, w.vals
-		col := make([]float64, n)
-		res.Columns[s] = col
 		res.Raters[s] = len(ids)
 		if len(ids) == 0 {
 			outs[s] = outcome{converged: true}
+			if res.Columns != nil {
+				res.Columns[s] = make([]float64, n)
+			}
 			return
+		}
+		col := w.col
+		if res.Columns != nil {
+			col = make([]float64, n)
+			res.Columns[s] = col
 		}
 		var ws *gossip.CampaignState
 		if p.Warm != nil {
@@ -273,6 +284,7 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 		} else {
 			runDense(s, j, ids, vals, ws, w, col)
 		}
+		res.Global[s] = col[p.Root]
 	}
 
 	workers := p.Workers
@@ -294,6 +306,9 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 			sy:      make([]float64, sparseMax),
 			sg:      make([]float64, sparseMax),
 			est:     make([]float64, sparseMax),
+		}
+		if p.RootOnly {
+			w.col = make([]float64, n)
 		}
 		for {
 			x := int(cursor.Add(1)) - 1

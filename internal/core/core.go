@@ -71,6 +71,12 @@ type Params struct {
 	// SubjectsResult.States, for the caller to persist and feed back as
 	// Warm next epoch.
 	KeepStates bool
+	// RootOnly makes GlobalSubjects skip SubjectsResult.Columns (left nil):
+	// each campaign's estimate column lands in a per-worker buffer and only
+	// the root's entry is kept, in SubjectsResult.Global. A fold then
+	// allocates O(subjects) instead of O(subjects × N). The service, which
+	// publishes the root's view alone, sets it.
+	RootOnly bool
 }
 
 func (p Params) withDefaults() Params {
@@ -148,8 +154,10 @@ type SubjectsResult struct {
 	// Subjects echoes the requested subjects, in request order.
 	Subjects []int
 	// Columns[s][i] is node i's estimate for Subjects[s] (all zeros for a
-	// subject nobody rated).
+	// subject nobody rated); nil under Params.RootOnly.
 	Columns [][]float64
+	// Global[s] is the root's estimate for Subjects[s] — Columns[s][Root].
+	Global []float64
 	// Raters[s] is the number of direct raters of Subjects[s].
 	Raters []int
 	// Computed counts the campaigns that actually ran — subjects with at

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"diffgossip/internal/gossip"
 	"diffgossip/internal/rng"
 	"diffgossip/internal/trust"
 )
@@ -137,6 +138,65 @@ func TestGlobalSubjectsSkipsUnrated(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatal("run did not converge")
+	}
+}
+
+// TestGlobalSubjectsRootOnly: with Params.RootOnly the result carries no
+// columns, and Global holds bit for bit the root entry of the full run's
+// columns — dense and sparse campaigns, cold and warm-restarted (including
+// the unchanged-campaign republish), unrated subjects included.
+func TestGlobalSubjectsRootOnly(t *testing.T) {
+	const n = 40
+	g, _ := denseWorkload(t, n, 0.3, 81)
+	tm := subjectsWorkload(t, n, 82)
+	subjects := []int{0, 3, 7, 20, 33, 39} // 7 and 20 ≡ 7 mod 13: unrated
+	for _, sparse := range []float64{0, 0.25, 1} {
+		for _, root := range []int{0, 11} {
+			p := params(1e-6, 83)
+			p.SparseRaterFrac, p.Root, p.Workers, p.KeepStates = sparse, root, 2, true
+			cold, err := GlobalSubjects(g, tm, subjects, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Warm = func(j int) *gossip.CampaignState {
+				for k, s := range subjects {
+					if s == j {
+						return cold.States[k]
+					}
+				}
+				return nil
+			}
+			for _, warm := range []bool{false, true} {
+				pw := p
+				if !warm {
+					pw.Warm = nil
+				}
+				full, err := GlobalSubjects(g, tm, subjects, pw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pw.RootOnly = true
+				ro, err := GlobalSubjects(g, tm, subjects, pw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ro.Columns != nil {
+					t.Fatal("RootOnly result carries columns")
+				}
+				if warm && full.WarmStarts == 0 {
+					t.Fatalf("sparse=%v: no campaign warm-started", sparse)
+				}
+				for k, j := range subjects {
+					if want := full.Columns[k][root]; ro.Global[k] != want || full.Global[k] != want {
+						t.Fatalf("sparse=%v root=%d warm=%v subject %d: RootOnly %v, full Global %v, column %v",
+							sparse, root, warm, j, ro.Global[k], full.Global[k], want)
+					}
+				}
+				if ro.TotalSteps != full.TotalSteps || ro.WarmStarts != full.WarmStarts {
+					t.Fatalf("RootOnly changed the campaigns: %d/%d steps, %d/%d warm", ro.TotalSteps, full.TotalSteps, ro.WarmStarts, full.WarmStarts)
+				}
+			}
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 			return fmt.Errorf("service: bootstrap: %w", err)
 		}
 		if applied {
-			s.recordTag(fb)
+			s.cells.Record(fb)
 		}
 	}
 	// rebased is the local fold point the installed segments may claim:
@@ -154,7 +154,8 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 
 	// 2. Anything we retain past the sender's shipped coverage — entries the
 	// sender had never seen when it captured its marks — must refold, or
-	// replacing the master state below would silently drop their writes.
+	// replacing the folded cell values below would silently drop their
+	// writes.
 	var repend []store.Feedback
 	rependStreams := []string{""}
 	for o := range s.ledger.OriginMarks() {
@@ -186,12 +187,8 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 		seg.Epoch = epoch
 		seg.Seq = segSeq[sh]
 	}
-	full, err := store.StitchSnapshot(segs)
-	if err != nil {
-		return fmt.Errorf("service: bootstrap: %w", err)
-	}
-	s.master = full.Trust
 	for sh, seg := range segs {
+		s.cells.LoadColumns(seg.Cols)
 		s.states[sh].Store(seg)
 	}
 	s.epochs.Store(epoch)

@@ -16,12 +16,14 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	}
 	eh := obs.NewHistogram(obs.DefBuckets()...)
 	fh := obs.NewHistogram(obs.DefBuckets()...)
+	zh := obs.NewHistogram(obs.DefBuckets()...)
 	// Campaign step counts are small integers, not seconds — power-of-two
 	// buckets cover everything from a warm restart's handful of steps to a
 	// cold campaign's log²-shaped budget.
 	sh := obs.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 	s.epochHist.Store(eh)
 	s.foldHist.Store(fh)
+	s.freezeHist.Store(zh)
 	s.stepsHist.Store(sh)
 	reg.CounterFunc("diffgossip_service_epochs_total", "",
 		"Fold rounds completed (no-op epochs with nothing pending excluded).", s.epochs.Load)
@@ -50,7 +52,9 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	reg.Histogram("diffgossip_service_epoch_duration_seconds", "",
 		"Epoch compute-phase duration (fold, campaigns, publish), in seconds.", eh)
 	reg.Histogram("diffgossip_service_shard_fold_duration_seconds", "",
-		"Per-shard gossip campaign duration, in seconds.", fh)
+		"Per-shard gossip campaign duration (column freeze excluded), in seconds.", fh)
+	reg.Histogram("diffgossip_service_shard_freeze_duration_seconds", "",
+		"Per-shard trust-column freeze duration (copying the shard's columns out of the cell store), in seconds.", zh)
 	reg.Histogram("diffgossip_service_campaign_steps", "",
 		"Gossip steps per per-subject campaign (warm restarts land in the low buckets).", sh)
 	s.ledger.Instrument(reg)

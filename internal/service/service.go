@@ -5,10 +5,11 @@
 //     appends that never touch epoch state, tracking which subject shards
 //     the pending batch has dirtied;
 //   - the shard scheduler: RunEpoch (or the background loop) folds the
-//     pending batch into the master trust matrix and recomputes only the
-//     dirty shards — each shard an independent set of per-subject push-sum
-//     campaigns (core.GlobalSubjects) on the flat gossip kernels, dispatched
-//     to a bounded worker pool; clean shards cost zero compute;
+//     pending batch into the subject-major trust-cell store (store.Cells)
+//     and recomputes only the dirty shards — each shard an independent set
+//     of per-subject push-sum campaigns (core.GlobalSubjects) on the flat
+//     gossip kernels, dispatched to a bounded worker pool; clean shards
+//     cost zero compute;
 //   - the published shard snapshots: one atomic.Pointer per shard, stored as
 //     its fold completes. Readers stitch the current pointers into a
 //     composite View — lock-free, snapshot-consistent per shard.
@@ -130,27 +131,6 @@ type Config struct {
 	Origin string
 }
 
-// cellTag is the last-writer-wins coordinate of one (rater, subject) cell
-// write: entries to the same cell are ordered lexicographically by
-// (UnixNano, origin, origin seq) — a total order every replica computes
-// identically, so folds converge regardless of arrival order.
-type cellTag struct {
-	ts     int64
-	origin string
-	seq    uint64
-}
-
-// before reports whether t is strictly older than o in the LWW total order.
-func (t cellTag) before(o cellTag) bool {
-	if t.ts != o.ts {
-		return t.ts < o.ts
-	}
-	if t.origin != o.origin {
-		return t.origin < o.origin
-	}
-	return t.seq < o.seq
-}
-
 // Replicator is the cluster-side hook the epoch scheduler drives: one
 // anti-entropy exchange (digest broadcast to peers) before each scheduled
 // epoch, keeping replication at least on the scheduler's cadence. The
@@ -179,16 +159,16 @@ type Service struct {
 	graphFP uint64
 	warmOK  bool
 
-	// epochMu serialises epoch compute and guards master and lww, the only
-	// mutable trust state. Readers never take it; neither does the
-	// persistence phase.
+	// epochMu serialises epoch compute and guards cells, the only mutable
+	// trust state: every (rater, subject) cell's folded value and LWW tag,
+	// stored subject-major so a shard freeze copies just its own columns.
+	// The fold skips any entry older than its cell's newest write on record,
+	// making the folded state independent of arrival order. Rebuilt at boot
+	// from the segments' columns plus the WAL's tags. Readers never take
+	// epochMu; neither does the persistence phase.
 	epochMu sync.Mutex
-	master  *trust.Matrix
-	// lww maps cell id (rater*n + subject) to the winning write's tag; the
-	// fold skips any entry older than its cell's winner, making the folded
-	// state independent of arrival order. Rebuilt from the WAL on boot.
-	lww    map[uint64]cellTag
-	epochs atomic.Uint64 // fold rounds completed (== newest published shard epoch)
+	cells   *store.Cells
+	epochs  atomic.Uint64 // fold rounds completed (== newest published shard epoch)
 
 	// lastEpoch is the wall-clock nanosecond of the last completed RunEpoch
 	// (including no-op epochs with nothing pending) — the readiness probe's
@@ -222,6 +202,7 @@ type Service struct {
 	epochErrs       atomic.Uint64
 	epochHist       atomic.Pointer[obs.Histogram]
 	foldHist        atomic.Pointer[obs.Histogram]
+	freezeHist      atomic.Pointer[obs.Histogram]
 	stepsHist       atomic.Pointer[obs.Histogram]
 	preExchange     atomic.Bool
 	trace           traceRing
@@ -285,7 +266,7 @@ func New(cfg Config) (*Service, error) {
 		shards:         shards,
 		graphFP:        graphFingerprint(cfg.Graph),
 		warmOK:         !cfg.NoWarmStart && !cfg.Replicate,
-		lww:            make(map[uint64]cellTag),
+		cells:          store.NewCells(n, cfg.Origin),
 		states:         make([]atomic.Pointer[store.ShardSnapshot], shards),
 		persistedEpoch: make([]uint64, shards),
 		persistedSeq:   make([]uint64, shards),
@@ -331,7 +312,6 @@ func New(cfg Config) (*Service, error) {
 		for sh := range segs {
 			segs[sh] = store.NewBootShardSnapshot(n, sh, shards, now)
 		}
-		s.master = trust.NewMatrix(n)
 	}
 	var maxEpoch uint64
 	for sh, seg := range segs {
@@ -363,9 +343,9 @@ func New(cfg Config) (*Service, error) {
 }
 
 // loadDir opens (creating, migrating or resharding as needed) a persistent
-// data directory: it returns the shard segments to publish, sets s.master
-// to the stitched trust state, and leaves s.ledger open with the unfolded
-// tail pending.
+// data directory: it returns the shard segments to publish, loads their
+// columns and the WAL's LWW tags into s.cells, and leaves s.ledger open with
+// the unfolded tail pending.
 func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 	dir := s.cfg.Dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -439,14 +419,8 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 		}
 	}
 
-	if segs != nil {
-		full, err := store.StitchSnapshot(segs)
-		if err != nil {
-			return nil, err
-		}
-		s.master = full.Trust // stitched fresh, owned by the service
-	} else {
-		s.master = trust.NewMatrix(s.n)
+	for _, seg := range segs {
+		s.cells.LoadColumns(seg.Cols)
 	}
 
 	// Validate before mutating: the ledger-truncation guard must run before
@@ -520,10 +494,11 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 	// Entries already folded into their subject's shard are dropped; the
 	// per-shard tails past each segment's Seq wait for the next epoch. The
 	// LWW tags rebuild from the FULL replay — folded entries' winners must
-	// be on record before any late replicated entry tries to beat them.
+	// be on record before any late replicated entry tries to beat them. A
+	// tail entry's cell gets its tag now but its value only when it folds.
 	var tail []store.Feedback
 	for _, fb := range replayed {
-		s.recordTag(fb)
+		s.cells.Record(fb)
 		var folded uint64
 		if segs != nil {
 			folded = segs[store.ShardOf(fb.Subject, s.shards)].Seq
@@ -534,30 +509,6 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 	}
 	s.ledger.Restore(tail)
 	return segs, nil
-}
-
-// tagOf computes an entry's LWW tag. Locally accepted entries (empty Origin
-// in the ledger) are stamped with this node's identity and their local
-// sequence number — exactly the (origin, seq) pair they replicate under, so
-// every replica orders the write identically.
-func (s *Service) tagOf(fb store.Feedback) cellTag {
-	if fb.Origin == "" {
-		return cellTag{ts: fb.UnixNano, origin: s.cfg.Origin, seq: fb.Seq}
-	}
-	return cellTag{ts: fb.UnixNano, origin: fb.Origin, seq: fb.OriginSeq}
-}
-
-// recordTag advances fb's cell to fb's tag if it is not older than the
-// current winner, reporting whether fb won (and should be folded). Caller
-// holds epochMu (or is single-threaded boot).
-func (s *Service) recordTag(fb store.Feedback) bool {
-	cell := uint64(fb.Rater)*uint64(s.n) + uint64(fb.Subject)
-	tag := s.tagOf(fb)
-	if cur, ok := s.lww[cell]; ok && tag.before(cur) {
-		return false
-	}
-	s.lww[cell] = tag
-	return true
 }
 
 // Submit records one feedback entry ("rater now places trust value in
@@ -780,10 +731,9 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	}
 	// On any compute failure the batch goes back to the front of the
 	// pending window so no feedback is ever dropped: the next epoch retries
-	// it. (The fold into master is not undone — refolding the same entries
-	// in the same order is idempotent under Set's last-wins semantics, and
-	// any shards already republished stay correct: they reflect the folded
-	// values.)
+	// it. (The fold into the cell store is not undone — refolding the same
+	// entries is idempotent under LWW, and any shards already republished
+	// stay correct: they reflect the folded values.)
 	restore := func(err error) (*View, bool, error) {
 		s.epochErrs.Add(1)
 		s.ledger.Restore(batch)
@@ -799,13 +749,7 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 		// seen, never on their arrival order. (Its shard still counts as
 		// dirty — the cheap refold keeps the skip logic out of the dirtiness
 		// accounting.)
-		if s.recordTag(fb) {
-			// Ledger entries were validated at append time; Set only fails
-			// on values outside [0,1], which therefore cannot happen here.
-			if err := s.master.Set(fb.Rater, fb.Subject, fb.Value); err != nil {
-				return restore(fmt.Errorf("service: fold seq %d: %w", fb.Seq, err))
-			}
-		}
+		s.cells.Apply(fb)
 		dirty[fb.Shard] = true
 		seq = fb.Seq
 	}
@@ -822,13 +766,14 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	}
 
 	// Fold the dirty shards on a bounded worker pool. Each fold freezes its
-	// shard's columns from master (stable under epochMu), runs one
+	// shard's columns from the cell store (stable under epochMu), runs one
 	// independent campaign per rated subject, and publishes through its own
 	// atomic pointer the moment it completes — results are bit-identical
 	// for any FoldWorkers and Params.Workers.
 	results := make([]*store.ShardSnapshot, len(dirtyList))
 	errs := make([]error, len(dirtyList))
-	starts := make([]int64, len(dirtyList)) // fold start offsets, for the trace row
+	starts := make([]int64, len(dirtyList))  // fold start offsets, for the trace row
+	freezes := make([]int64, len(dirtyList)) // column-freeze durations, likewise
 	foldWorkers := s.cfg.FoldWorkers
 	if foldWorkers < 0 {
 		foldWorkers = runtime.GOMAXPROCS(0)
@@ -851,7 +796,7 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 					return
 				}
 				starts[idx] = time.Since(epochStart).Nanoseconds()
-				seg, err := s.foldShard(dirtyList[idx], epoch, seq, p)
+				seg, freezeNs, err := s.foldShard(dirtyList[idx], epoch, seq, p)
 				if err != nil {
 					errs[idx] = err
 					continue
@@ -864,6 +809,8 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 				s.warmStarts.Add(uint64(seg.WarmStarts))
 				s.coldStarts.Add(uint64(seg.ColdStarts))
 				s.foldHist.Load().Observe(float64(seg.ElapsedNs) / 1e9)
+				s.freezeHist.Load().Observe(float64(freezeNs) / 1e9)
+				freezes[idx] = freezeNs
 			}
 		}()
 	}
@@ -883,7 +830,7 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	allConverged := true
 	for i, seg := range results {
 		shardTraces[i] = ShardTrace{
-			Shard: seg.Shard, StartOffsetNs: starts[i], DurationNs: seg.ElapsedNs,
+			Shard: seg.Shard, StartOffsetNs: starts[i], FreezeNs: freezes[i], DurationNs: seg.ElapsedNs,
 			Steps: seg.Steps, Converged: seg.Converged, Computed: seg.Computed,
 			WarmStarts: seg.WarmStarts, ColdStarts: seg.ColdStarts,
 		}
@@ -926,13 +873,19 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 // columns, run the per-subject campaigns — warm-seeded from the shard's
 // previous publication where the recorded states still fit — and assemble
 // the shard snapshot, carrying the new campaign states forward as the next
-// fold's warm seeds.
-func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store.ShardSnapshot, error) {
+// fold's warm seeds. It also returns the freeze's duration; the snapshot's
+// ElapsedNs covers the campaigns alone.
+func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store.ShardSnapshot, int64, error) {
 	subjects := store.ShardSubjects(s.n, shard, s.shards)
-	cols, err := trust.ColumnsOf(s.master, subjects)
+	freezeStart := time.Now()
+	cols, err := s.cells.Freeze(subjects)
 	if err != nil {
-		return nil, fmt.Errorf("service: freeze shard %d: %w", shard, err)
+		return nil, 0, fmt.Errorf("service: freeze shard %d: %w", shard, err)
 	}
+	freezeNs := time.Since(freezeStart).Nanoseconds()
+	// The snapshot publishes the root's view alone, so the campaigns need
+	// not allocate a dense result column per subject.
+	p.RootOnly = true
 	if s.warmOK {
 		p.KeepStates = true
 		prev := s.states[shard].Load()
@@ -948,7 +901,7 @@ func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store
 	start := time.Now()
 	res, err := core.GlobalSubjects(s.cfg.Graph, cols, subjects, p)
 	if err != nil {
-		return nil, fmt.Errorf("service: epoch %d shard %d gossip: %w", epoch, shard, err)
+		return nil, 0, fmt.Errorf("service: epoch %d shard %d gossip: %w", epoch, shard, err)
 	}
 	elapsed := time.Since(start)
 	if h := s.stepsHist.Load(); h != nil {
@@ -959,18 +912,13 @@ func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store
 		}
 	}
 
-	root := p.Root // zero value = node 0, matching core's default
-	global := make([]float64, len(subjects))
-	for k := range subjects {
-		global[k] = res.Columns[k][root]
-	}
 	return &store.ShardSnapshot{
 		Shard:           shard,
 		Shards:          s.shards,
 		N:               s.n,
 		Epoch:           epoch,
 		Seq:             seq,
-		Global:          global,
+		Global:          res.Global,
 		Raters:          res.Raters,
 		Steps:           res.Steps,
 		Converged:       res.Converged,
@@ -983,7 +931,7 @@ func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store
 		GraphFP:         s.graphFP,
 		Cols:            cols,
 		Warm:            res.States,
-	}, nil
+	}, freezeNs, nil
 }
 
 // persist makes one epoch's outcome durable: ledger fsync first (the boot

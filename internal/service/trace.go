@@ -7,14 +7,18 @@ import "sync"
 const DefaultTraceDepth = 64
 
 // ShardTrace is one shard's fold inside an epoch trace: when the fold
-// started relative to the epoch, how long the gossip campaigns ran, and
-// their outcome.
+// started relative to the epoch, how long its column freeze and its gossip
+// campaigns took, and their outcome.
 type ShardTrace struct {
 	// Shard is the subject shard that folded.
 	Shard int `json:"shard"`
 	// StartOffsetNs is when the fold started, relative to the epoch start.
 	StartOffsetNs int64 `json:"start_offset_ns"`
-	// DurationNs is the gossip campaign time for this shard.
+	// FreezeNs is the time spent copying the shard's trust columns out of
+	// the cell store before its campaigns start.
+	FreezeNs int64 `json:"freeze_ns"`
+	// DurationNs is the gossip campaign time for this shard (the freeze
+	// excluded).
 	DurationNs int64 `json:"duration_ns"`
 	// Steps is the slowest campaign's step count; Converged reports whether
 	// every campaign hit the ξ tolerance; Computed counts the subjects the

@@ -101,8 +101,10 @@ func TestWarmEpochMatchesReference(t *testing.T) {
 
 // TestWarmStartTraceMetricsAgree pins the three observability surfaces to
 // one truth: the per-epoch trace rows' warm/cold splits sum to the service
-// counters, which are exactly what the Prometheus registry scrapes, and the
-// campaign-steps histogram has observed every computed campaign.
+// counters, which are exactly what the Prometheus registry scrapes, the
+// campaign-steps histogram has observed every computed campaign, and the
+// per-shard freeze and campaign histograms hold exactly the trace rows'
+// freeze_ns and duration_ns.
 func TestWarmStartTraceMetricsAgree(t *testing.T) {
 	const n = 40
 	s := newTestService(t, n, Config{Shards: 5})
@@ -127,11 +129,18 @@ func TestWarmStartTraceMetricsAgree(t *testing.T) {
 		t.Fatalf("warm %d + cold %d != folded subjects %d", s.WarmStarts(), s.ColdStarts(), s.FoldedSubjects())
 	}
 
-	var traceWarm, traceCold uint64
+	var traceWarm, traceCold, traceShards uint64
+	var traceFreeze, traceCampaign float64
 	for _, row := range s.Trace() {
 		for _, sh := range row.Shards {
 			traceWarm += uint64(sh.WarmStarts)
 			traceCold += uint64(sh.ColdStarts)
+			traceShards++
+			traceFreeze += float64(sh.FreezeNs) / 1e9
+			traceCampaign += float64(sh.DurationNs) / 1e9
+			if sh.FreezeNs <= 0 {
+				t.Fatalf("epoch %d shard %d traced no freeze time", row.Epoch, sh.Shard)
+			}
 		}
 	}
 	if traceWarm != s.WarmStarts() || traceCold != s.ColdStarts() {
@@ -166,6 +175,20 @@ func TestWarmStartTraceMetricsAgree(t *testing.T) {
 	}
 	if got := scraped("diffgossip_service_campaign_steps_count"); got != float64(s.FoldedSubjects()) {
 		t.Fatalf("steps histogram observed %v campaigns, folded %d", got, s.FoldedSubjects())
+	}
+	for _, h := range []struct {
+		name string
+		sum  float64
+	}{
+		{"diffgossip_service_shard_freeze_duration_seconds", traceFreeze},
+		{"diffgossip_service_shard_fold_duration_seconds", traceCampaign},
+	} {
+		if got := scraped(h.name + "_count"); got != float64(traceShards) || got != float64(s.FoldedShards()) {
+			t.Fatalf("%s observed %v folds, trace has %d, counter %d", h.name, got, traceShards, s.FoldedShards())
+		}
+		if got := scraped(h.name + "_sum"); math.Abs(got-h.sum) > 1e-9*math.Max(1, h.sum) {
+			t.Fatalf("%s sums %v s, trace rows sum %v s", h.name, got, h.sum)
+		}
 	}
 	// Stats mirrors the same counters.
 	st := s.Stats()

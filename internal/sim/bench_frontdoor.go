@@ -33,8 +33,8 @@ import (
 //     (per-entry flush for singles, one amortized fsync per batch). The ratio
 //     is the batch-ingest claim: one request and one disk barrier per few
 //     hundred ratings beats per-rating HTTP round trips by well over 5×.
-//   - overload=nobp / overload=bp: p99 read latency while batch writers
-//     flood every core. The nobp run admits everything (MaxPending
+//   - overload=nobp / overload=bp: p99 read latency under an open-loop
+//     flood of batch writes. The nobp run admits everything (MaxPending
 //     unlimited), so reads queue behind JSON decode and fsync work; the bp
 //     run sheds with 429 before the body is read once the pending window
 //     fills, so the same reader workload sees a far shorter tail. The p99
@@ -96,8 +96,8 @@ func frontDoorClient(conns int) *http.Client {
 	}}
 }
 
-// frontDoorWorkers is the bench's client concurrency: every hardware thread,
-// but at least 4 so the overload rows saturate even a 1-CPU CI host.
+// frontDoorWorkers is the closed-loop rows' client concurrency: every hardware
+// thread, but at least 4 so they saturate even a 1-CPU CI host.
 func frontDoorWorkers() int {
 	w := runtime.GOMAXPROCS(0)
 	if w < 4 {
@@ -233,11 +233,24 @@ func benchFrontDoorIngest(cfg BenchConfig, batch int) (BenchResult, error) {
 // subsequent write is refused before its body is read.
 const frontDoorOverloadPending = 2048
 
-// benchFrontDoorOverload measures read tail latency while batch writers
-// flood every worker slot. bp=false admits every batch (decode + WAL append
-// + fsync on the server, with readers competing for the same cores); bp=true
-// caps the pending window so the same flood is answered 429 from one atomic
-// load. Identical reader workload, identical writer behavior — only the
+// frontDoorFloodRate is the overload rows' offered write load, in batch POSTs
+// per second, and frontDoorFloodInFlight caps how many of them may be
+// outstanding at once. The flood is open-loop: it arrives on schedule
+// however slowly the server answers, so a server that admits every batch
+// falls behind and keeps the whole cap in flight, while one that sheds
+// answers each request in microseconds and keeps almost nothing queued. A
+// closed-loop flood would instead slow down with the server it measures, and
+// hand the shedding run the larger request rate.
+const (
+	frontDoorFloodRate     = 4000
+	frontDoorFloodInFlight = 64
+)
+
+// benchFrontDoorOverload measures read tail latency under an open-loop flood
+// of batch writes. bp=false admits every batch (decode + WAL append + fsync
+// on the server, with readers competing for the same cores); bp=true caps the
+// pending window so the same flood is answered 429 from one atomic load.
+// Identical reader workload, identical offered write load — only the
 // admission policy differs, so the p99 ratio isolates what shedding buys.
 func benchFrontDoorOverload(cfg BenchConfig, bp bool) (BenchResult, error) {
 	n := cfg.VectorN
@@ -283,66 +296,93 @@ func benchFrontDoorOverload(cfg BenchConfig, bp bool) (BenchResult, error) {
 
 	const writeBatch = 128
 	const readers = 2
-	writers := frontDoorWorkers()
-	client := frontDoorClient(writers + readers)
+	client := frontDoorClient(frontDoorFloodInFlight + readers)
 	readsPerReader := 6 * n
 	hist := obs.NewHistogram(obs.ExponentialBuckets(10e-6, 1.5, 32)...)
 	var accepted, shed, reads atomic.Int64
 	var stopFlood atomic.Bool
-	errCh := make(chan error, writers+readers)
+	errCh := make(chan error, 1)
+	fail := func(err error) {
+		select {
+		case errCh <- err:
+		default:
+		}
+	}
+	// A few pre-encoded bodies keep the client's own encoding work small and
+	// the same in both runs.
+	bodies := make([][]byte, 16)
+	bsrc := rng.New(cfg.Seed + 98)
+	for k := range bodies {
+		var body bytes.Buffer
+		body.WriteByte('[')
+		for i := 0; i < writeBatch; i++ {
+			if i > 0 {
+				body.WriteByte(',')
+			}
+			appendRatingJSON(&body, bsrc, n)
+		}
+		body.WriteByte(']')
+		bodies[k] = body.Bytes()
+	}
+	post := func(body []byte) {
+		resp, err := client.Post(base+"/v1/feedback/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			fail(err)
+			return
+		}
+		status := resp.StatusCode
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch {
+		case status == http.StatusAccepted:
+			accepted.Add(writeBatch)
+		case status == http.StatusTooManyRequests && bp:
+			shed.Add(1)
+		default:
+			fail(fmt.Errorf("bench: overload write status %d (bp=%v)", status, bp))
+		}
+	}
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := rng.New(cfg.Seed + 98 + uint64(w))
-			var body bytes.Buffer
-			for !stopFlood.Load() {
-				body.Reset()
-				body.WriteByte('[')
-				for i := 0; i < writeBatch; i++ {
-					if i > 0 {
-						body.WriteByte(',')
-					}
-					appendRatingJSON(&body, src, n)
-				}
-				body.WriteByte(']')
-				resp, err := client.Post(base+"/v1/feedback/batch", "application/json", &body)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				status := resp.StatusCode
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				switch {
-				case status == http.StatusAccepted:
-					accepted.Add(writeBatch)
-				case status == http.StatusTooManyRequests && bp:
-					shed.Add(1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		slots := make(chan struct{}, frontDoorFloodInFlight)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for sent := 0; !stopFlood.Load(); <-tick.C {
+			// Dispatch every request now due; one that finds every slot
+			// busy is dropped, never delayed.
+			for due := int(time.Since(start).Seconds() * frontDoorFloodRate); sent < due; sent++ {
+				select {
+				case slots <- struct{}{}:
 				default:
-					errCh <- fmt.Errorf("bench: overload write status %d (bp=%v)", status, bp)
-					return
+					continue
 				}
+				wg.Add(1)
+				go func(body []byte) {
+					defer wg.Done()
+					post(body)
+					<-slots
+				}(bodies[sent%len(bodies)])
 			}
-		}(w)
-	}
+		}
+	}()
 	var rwg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		rwg.Add(1)
 		go func(r int) {
 			defer rwg.Done()
-			src := rng.New(cfg.Seed + 99 + uint64(writers+r))
+			src := rng.New(cfg.Seed + 99 + uint64(r))
 			for i := 0; i < readsPerReader; i++ {
 				reqStart := time.Now()
 				resp, err := client.Get(fmt.Sprintf("%s/v1/reputation/%d", base, src.Intn(n)))
 				if err != nil {
-					errCh <- err
+					fail(err)
 					return
 				}
 				if err := drainStatus(resp, http.StatusOK); err != nil {
-					errCh <- err
+					fail(err)
 					return
 				}
 				hist.Observe(time.Since(reqStart).Seconds())

@@ -50,36 +50,6 @@ type CompactStats struct {
 // from disk, as a restart would.
 var compactCrash func(stage string) error
 
-// lwwTag is the last-writer-wins tag of one ledger entry, mirroring the
-// epoch fold's conflict ordering (internal/service): ingest wall-clock
-// first, then origin id, then origin sequence number. Compaction must rank
-// cell rivals exactly as the fold does, or the kept entry could differ from
-// the fold's winner and a post-compaction replay would diverge.
-type lwwTag struct {
-	ts     int64
-	origin string
-	seq    uint64
-}
-
-// entryTag derives an entry's LWW tag; localOrigin stands in for the empty
-// origin of locally accepted entries.
-func entryTag(fb Feedback, localOrigin string) lwwTag {
-	if fb.Origin == "" {
-		return lwwTag{ts: fb.UnixNano, origin: localOrigin, seq: fb.Seq}
-	}
-	return lwwTag{ts: fb.UnixNano, origin: fb.Origin, seq: fb.OriginSeq}
-}
-
-func (a lwwTag) before(b lwwTag) bool {
-	if a.ts != b.ts {
-		return a.ts < b.ts
-	}
-	if a.origin != b.origin {
-		return a.origin < b.origin
-	}
-	return a.seq < b.seq
-}
-
 // compactionKeep marks which entries survive compaction. entries must be in
 // ledger (apply) order. Three groups are kept:
 //
@@ -98,7 +68,7 @@ func compactionKeep(entries []Feedback, n int, localOrigin string, folded func(F
 	keep := make([]bool, len(entries))
 	type win struct {
 		i int
-		t lwwTag
+		t Tag
 	}
 	winners := make(map[uint64]win)
 	heads := make(map[string]int)
@@ -109,8 +79,8 @@ func compactionKeep(entries []Feedback, n int, localOrigin string, folded func(F
 		}
 		heads[fb.Origin] = i
 		cell := uint64(fb.Rater)*uint64(n) + uint64(fb.Subject)
-		t := entryTag(fb, localOrigin)
-		if w, ok := winners[cell]; !ok || !t.before(w.t) {
+		t := TagOf(fb, localOrigin)
+		if w, ok := winners[cell]; !ok || !t.Before(w.t) {
 			winners[cell] = win{i: i, t: t}
 		}
 	}

@@ -57,7 +57,16 @@ type Columns struct {
 // ColumnsOf freezes the given subject columns of m. The subjects must be
 // distinct and in range; their order is preserved.
 func ColumnsOf(m *Matrix, subjects []int) (*Columns, error) {
-	c, err := newColumnsShell(m.n, subjects)
+	return BuildColumns(m.n, subjects, m.RatersOfInto)
+}
+
+// BuildColumns freezes a Columns from any column source: appendCol(j, ids,
+// vals) must append subject j's raters (strictly ascending, in [0,n)) and
+// their values (in [0,1]) and return the grown slices. The source is
+// trusted: its entries are not revalidated. The subjects must be distinct
+// and in range; their order is preserved.
+func BuildColumns(n int, subjects []int, appendCol func(j int, ids []int, vals []float64) ([]int, []float64)) (*Columns, error) {
+	c, err := newColumnsShell(n, subjects)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +77,7 @@ func ColumnsOf(m *Matrix, subjects []int) (*Columns, error) {
 	var vals []float64
 	offs := make([]int, len(c.subjects)+1)
 	for s, j := range c.subjects {
-		ids, vals = m.RatersOfInto(j, ids, vals)
+		ids, vals = appendCol(j, ids, vals)
 		offs[s+1] = len(ids)
 	}
 	c.attachFlat(ids, vals, offs)
