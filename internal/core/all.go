@@ -103,13 +103,7 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 	if p.KeepStates {
 		res.States = make([]*gossip.CampaignState, len(subjects))
 	}
-	sparseMax := 0
-	if p.SparseRaterFrac > 0 {
-		sparseMax = int(p.SparseRaterFrac * float64(n))
-		if sparseMax < 1 {
-			sparseMax = 1
-		}
-	}
+	sparseMax := p.sparseMax(n)
 
 	type outcome struct {
 		steps     int
@@ -135,6 +129,21 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 		vals    []float64
 	}
 
+	// republish publishes an unchanged campaign's recorded fixed point: the
+	// whole column when the caller wants columns, otherwise the root's entry
+	// alone (Global reads col[p.Root]).
+	republish := func(ws *gossip.CampaignState, s int, col []float64) {
+		if res.Columns != nil {
+			stateColumn(ws, col)
+		} else {
+			col[p.Root] = stateValue(ws, p.Root)
+		}
+		outs[s] = outcome{converged: true, ran: true, warm: true}
+		if res.States != nil {
+			res.States[s] = ws
+		}
+	}
+
 	runSparse := func(s, j int, ids []int, vals []float64, ws *gossip.CampaignState, w *workerState, col []float64) {
 		k := len(ids)
 		if k == 1 {
@@ -147,20 +156,16 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 			outs[s] = outcome{converged: true, ran: true}
 			return
 		}
-		warm := ws != nil && ws.Sparse &&
-			len(ws.Y) == k && len(ws.G) == k && len(ws.PrevVals) == k &&
-			sameIDs(ws.Raters, ids)
-		if warm && ws.Converged && sameVals(ws.PrevVals, vals) {
+		if unchanged(ws, true, n, ids, vals) {
 			// Unchanged campaign: the recorded state already holds the fixed
 			// point, so republish its column — zero steps, zero messages, and
 			// the state carries forward untouched for the next epoch.
-			stateColumn(ws, col)
-			outs[s] = outcome{converged: true, ran: true, warm: true}
-			if res.States != nil {
-				res.States[s] = ws
-			}
+			republish(ws, s, col)
 			return
 		}
+		warm := ws != nil && ws.Sparse &&
+			len(ws.Y) == k && len(ws.G) == k && len(ws.PrevVals) == k &&
+			sameIDs(ws.Raters, ids)
 		sy, sg := w.sy[:k], w.sg[:k]
 		if warm {
 			copy(sy, ws.Y)
@@ -211,19 +216,15 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 	}
 
 	runDense := func(s, j int, ids []int, vals []float64, ws *gossip.CampaignState, w *workerState, col []float64) {
+		if unchanged(ws, false, n, ids, vals) {
+			// Unchanged campaign: republish the recorded fixed point directly
+			// (see the sparse twin above).
+			republish(ws, s, col)
+			return
+		}
 		usable := ws != nil && !ws.Sparse &&
 			len(ws.Y) == n && len(ws.G) == n &&
 			len(ws.PrevVals) == len(ws.Raters)
-		if usable && ws.Converged && sameIDs(ws.Raters, ids) && sameVals(ws.PrevVals, vals) {
-			// Unchanged campaign: republish the recorded fixed point directly
-			// (see the sparse twin above).
-			stateColumn(ws, col)
-			outs[s] = outcome{converged: true, ran: true, warm: true}
-			if res.States != nil {
-				res.States[s] = ws
-			}
-			return
-		}
 		warm := usable && w.scratch.seedWarm(ws, ids, vals)
 		if !warm {
 			w.scratch.seedCold(ids, vals)
@@ -377,6 +378,32 @@ func subjectSeed(base uint64, j int) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Republished reports whether GlobalSubjects, given recorded state ws for a
+// subject whose trust column is (ids, vals) over an n-node graph, would
+// publish the subject's result without running any gossip — and if so, the
+// Global value and the recorded state it would publish. Three cases run no
+// gossip: no raters (Global 0); a single rater under sparse campaigns (the
+// closed-form fixed point, the rater's value); and a recorded state that is
+// converged on exactly this column in the campaign's mode (its fixed point,
+// republished unchanged). The returned values are bit-identical to
+// GlobalSubjects' for the same p, which is what lets the sharded service
+// carry a subject forward without calling it. p.Warm is not consulted: ws
+// stands for what it would return.
+func Republished(n int, ws *gossip.CampaignState, ids []int, vals []float64, p Params) (float64, *gossip.CampaignState, bool) {
+	k := len(ids)
+	sparseMax := p.sparseMax(n)
+	sparse := sparseMax > 0 && k <= sparseMax
+	switch {
+	case k == 0:
+		return 0, nil, true
+	case sparse && k == 1:
+		return vals[0], nil, true
+	case unchanged(ws, sparse, n, ids, vals):
+		return stateValue(ws, p.Root), ws, true
+	}
+	return 0, nil, false
 }
 
 // GlobalAll runs the paper's third variant: Algorithm 1 for every subject.

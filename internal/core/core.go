@@ -89,6 +89,15 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// sparseMax is the largest rater count that runs a sparse campaign over an
+// n-node graph (0 = sparse campaigns off).
+func (p Params) sparseMax(n int) int {
+	if p.SparseRaterFrac <= 0 {
+		return 0
+	}
+	return max(int(p.SparseRaterFrac*float64(n)), 1)
+}
+
 func (p Params) gossipConfig(g *graph.Graph) gossip.Config {
 	return gossip.Config{
 		Graph:    g,

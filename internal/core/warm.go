@@ -158,28 +158,42 @@ func sameVals(a, b []float64) bool {
 	return true
 }
 
-// stateColumn reproduces a campaign's result column straight from its
-// persisted state, bit-identically to what the recording run published: the
-// engine's estimate is y/g where the weight slot is non-empty and zero where
-// it is, and a sparse campaign's column is overlay node 0's estimate
-// broadcast to every node.
-func stateColumn(ws *gossip.CampaignState, col []float64) {
-	if ws.Sparse {
-		est := 0.0
-		if ws.G[0] > 0 {
-			est = ws.Y[0] / ws.G[0]
-		}
-		for i := range col {
-			col[i] = est
-		}
-		return
+// unchanged reports whether ws already holds the fixed point of the
+// campaign for column (ids, vals) in the given mode: a converged state of
+// that mode and shape that recorded exactly these raters and bit-identical
+// values. Such a campaign needs no recompute at all.
+func unchanged(ws *gossip.CampaignState, sparse bool, n int, ids []int, vals []float64) bool {
+	if ws == nil || !ws.Converged || ws.Sparse != sparse {
+		return false
 	}
+	size := n
+	if sparse {
+		size = len(ids)
+	}
+	return len(ws.Y) == size && len(ws.G) == size &&
+		sameIDs(ws.Raters, ids) && sameVals(ws.PrevVals, vals)
+}
+
+// stateValue is node i's entry of the result column a campaign's recorded
+// state reproduces, bit-identically to what the recording run published:
+// the engine's estimate is y/g where the weight slot is non-empty and zero
+// where it is, and a sparse campaign's column is overlay node 0's estimate
+// broadcast to every node.
+func stateValue(ws *gossip.CampaignState, i int) float64 {
+	if ws.Sparse {
+		i = 0
+	}
+	if ws.G[i] > 0 {
+		return ws.Y[i] / ws.G[i]
+	}
+	return 0
+}
+
+// stateColumn reproduces a campaign's whole result column from its recorded
+// state (see stateValue).
+func stateColumn(ws *gossip.CampaignState, col []float64) {
 	for i := range col {
-		if ws.G[i] > 0 {
-			col[i] = ws.Y[i] / ws.G[i]
-		} else {
-			col[i] = 0
-		}
+		col[i] = stateValue(ws, i)
 	}
 }
 

@@ -17,6 +17,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	eh := obs.NewHistogram(obs.DefBuckets()...)
 	fh := obs.NewHistogram(obs.DefBuckets()...)
 	zh := obs.NewHistogram(obs.DefBuckets()...)
+	ph := obs.NewHistogram(obs.DefBuckets()...)
 	// Campaign step counts are small integers, not seconds — power-of-two
 	// buckets cover everything from a warm restart's handful of steps to a
 	// cold campaign's log²-shaped budget.
@@ -24,6 +25,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	s.epochHist.Store(eh)
 	s.foldHist.Store(fh)
 	s.freezeHist.Store(zh)
+	s.persistHist.Store(ph)
 	s.stepsHist.Store(sh)
 	reg.CounterFunc("diffgossip_service_epochs_total", "",
 		"Fold rounds completed (no-op epochs with nothing pending excluded).", s.epochs.Load)
@@ -55,6 +57,8 @@ func (s *Service) Instrument(reg *obs.Registry) {
 		"Per-shard gossip campaign duration (column freeze excluded), in seconds.", fh)
 	reg.Histogram("diffgossip_service_shard_freeze_duration_seconds", "",
 		"Per-shard trust-column freeze duration (copying the shard's columns out of the cell store), in seconds.", zh)
+	reg.Histogram("diffgossip_service_epoch_persist_duration_seconds", "",
+		"Epoch persistence-phase duration (ledger fsync plus the folded shards' segment writes), in seconds.", ph)
 	reg.Histogram("diffgossip_service_campaign_steps", "",
 		"Gossip steps per per-subject campaign (warm restarts land in the low buckets).", sh)
 	s.ledger.Instrument(reg)

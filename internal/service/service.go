@@ -6,10 +6,12 @@
 //     the pending batch has dirtied;
 //   - the shard scheduler: RunEpoch (or the background loop) folds the
 //     pending batch into the subject-major trust-cell store (store.Cells)
-//     and recomputes only the dirty shards — each shard an independent set
-//     of per-subject push-sum campaigns (core.GlobalSubjects) on the flat
-//     gossip kernels, dispatched to a bounded worker pool; clean shards
-//     cost zero compute;
+//     and refolds only the dirty shards, on a bounded worker pool. Within a
+//     dirty shard only the subjects whose cells changed run their push-sum
+//     campaigns (core.GlobalSubjects on the flat gossip kernels); the rest
+//     are carried forward from the shard's previous publication wherever
+//     that is bit-identical to rerunning them. Clean shards cost zero
+//     compute;
 //   - the published shard snapshots: one atomic.Pointer per shard, stored as
 //     its fold completes. Readers stitch the current pointers into a
 //     composite View — lock-free, snapshot-consistent per shard.
@@ -45,7 +47,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,8 +177,12 @@ type Service struct {
 	lastEpoch atomic.Int64
 
 	// states[s] is shard s's current publication; worker goroutines store
-	// into their own shard's pointer as each fold completes.
-	states []atomic.Pointer[store.ShardSnapshot]
+	// into their own shard's pointer as each fold completes. lastFold[s]
+	// (guarded by epochMu) is the last snapshot foldShard built for shard s:
+	// when it is still the publication, the shard's values came from this
+	// process's own campaigns, which is what carry-forward requires.
+	states   []atomic.Pointer[store.ShardSnapshot]
+	lastFold []*store.ShardSnapshot
 
 	// foldedSubjects counts the per-subject campaigns actually run across
 	// all epochs; foldedShards counts shard folds. Together they are the
@@ -203,6 +208,7 @@ type Service struct {
 	epochHist       atomic.Pointer[obs.Histogram]
 	foldHist        atomic.Pointer[obs.Histogram]
 	freezeHist      atomic.Pointer[obs.Histogram]
+	persistHist     atomic.Pointer[obs.Histogram]
 	stepsHist       atomic.Pointer[obs.Histogram]
 	preExchange     atomic.Bool
 	trace           traceRing
@@ -268,6 +274,7 @@ func New(cfg Config) (*Service, error) {
 		warmOK:         !cfg.NoWarmStart && !cfg.Replicate,
 		cells:          store.NewCells(n, cfg.Origin),
 		states:         make([]atomic.Pointer[store.ShardSnapshot], shards),
+		lastFold:       make([]*store.ShardSnapshot, shards),
 		persistedEpoch: make([]uint64, shards),
 		persistedSeq:   make([]uint64, shards),
 		stop:           make(chan struct{}),
@@ -741,23 +748,32 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 		return s.View(), false, err
 	}
 
-	dirty := make(map[int]bool)
+	// changed[sh] lists the subjects of shard sh whose cells this batch
+	// changed; only their campaigns must rerun (see foldShard).
+	changed := make([][]int, s.shards)
+	dirty := make([]bool, s.shards)
+	seen := make([]bool, s.n)
 	seq := uint64(0)
 	for _, fb := range batch {
 		// Last-writer-wins: an entry older than its cell's recorded winner
 		// is skipped, so the folded state depends only on the set of entries
-		// seen, never on their arrival order. (Its shard still counts as
-		// dirty — the cheap refold keeps the skip logic out of the dirtiness
-		// accounting.)
-		s.cells.Apply(fb)
+		// seen, never on their arrival order. A skipped entry still dirties
+		// its shard, but changes no subject. A batch restored after a failed
+		// epoch re-applies in full, and a re-applied winner wins again, so
+		// its subjects count as changed again.
+		if s.cells.Apply(fb) && !seen[fb.Subject] {
+			seen[fb.Subject] = true
+			changed[fb.Shard] = append(changed[fb.Shard], fb.Subject)
+		}
 		dirty[fb.Shard] = true
 		seq = fb.Seq
 	}
-	dirtyList := make([]int, 0, len(dirty))
-	for sh := range dirty {
-		dirtyList = append(dirtyList, sh)
+	var dirtyList []int
+	for sh, d := range dirty {
+		if d {
+			dirtyList = append(dirtyList, sh)
+		}
 	}
-	sort.Ints(dirtyList)
 
 	epoch := s.epochs.Load() + 1
 	p := s.cfg.Params
@@ -796,7 +812,7 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 					return
 				}
 				starts[idx] = time.Since(epochStart).Nanoseconds()
-				seg, freezeNs, err := s.foldShard(dirtyList[idx], epoch, seq, p)
+				seg, freezeNs, err := s.foldShard(dirtyList[idx], changed[dirtyList[idx]], epoch, seq, p)
 				if err != nil {
 					errs[idx] = err
 					continue
@@ -831,7 +847,7 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	for i, seg := range results {
 		shardTraces[i] = ShardTrace{
 			Shard: seg.Shard, StartOffsetNs: starts[i], FreezeNs: freezes[i], DurationNs: seg.ElapsedNs,
-			Steps: seg.Steps, Converged: seg.Converged, Computed: seg.Computed,
+			Steps: seg.Steps, Converged: seg.Converged, Computed: seg.Computed, Carried: seg.Carried,
 			WarmStarts: seg.WarmStarts, ColdStarts: seg.ColdStarts,
 		}
 		if !seg.Converged {
@@ -841,21 +857,30 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	if allConverged {
 		s.convergedEpochs.Add(1)
 	}
-	s.trace.record(EpochTrace{
+	row := EpochTrace{
 		Epoch: epoch, StartUnixNano: epochStart.UnixNano(), DurationNs: computeNs,
 		Entries: len(batch), Seq: seq, DirtyShards: len(dirtyList),
 		ExchangeBefore: exchanged, Shards: shardTraces,
-	})
+	}
 
 	// Persistence phase: after the critical section, so a slow disk delays
 	// durability, never ingest or the next epoch's compute. A persist error
 	// is I/O-side only — the published state is correct and the WAL still
 	// holds everything, so on restart the affected shards simply refold
-	// from their last durable segments.
+	// from their last durable segments. The trace row waits for it, so the
+	// row can carry the persist time.
+	var persistErr error
 	if s.cfg.Dir != "" {
-		if err := s.persist(results); err != nil {
-			return s.View(), true, err
-		}
+		persistStart := time.Now()
+		persistErr = s.persist(results)
+		row.PersistNs = time.Since(persistStart).Nanoseconds()
+		s.persistHist.Load().Observe(float64(row.PersistNs) / 1e9)
+	}
+	s.trace.record(row)
+	if persistErr != nil {
+		return s.View(), true, persistErr
+	}
+	if s.cfg.Dir != "" {
 		// Scheduled WAL compaction rides the persistence phase: the segments
 		// this epoch folded are durable now, so everything they supersede is
 		// droppable. An error is I/O-side only, like a persist error — the
@@ -870,12 +895,32 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 }
 
 // foldShard recomputes one dirty shard at the given epoch: freeze its trust
-// columns, run the per-subject campaigns — warm-seeded from the shard's
-// previous publication where the recorded states still fit — and assemble
-// the shard snapshot, carrying the new campaign states forward as the next
-// fold's warm seeds. It also returns the freeze's duration; the snapshot's
-// ElapsedNs covers the campaigns alone.
-func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store.ShardSnapshot, int64, error) {
+// columns, run the campaigns of the subjects that must run — warm-seeded
+// from the shard's previous publication where the recorded states still
+// fit — and assemble the shard snapshot, carrying the new campaign states
+// forward as the next fold's warm seeds. It also returns the freeze's
+// duration; the snapshot's ElapsedNs covers the campaigns alone.
+//
+// changed lists the shard's subjects whose cells this epoch's batch changed;
+// they always run. Every other subject is carried forward — its Global,
+// Raters and Warm entry kept from the previous publication, no campaign
+// run — wherever that is bit-identical to running it. Carrying needs a
+// previous publication this process folded itself: then the subject's
+// column is the one frozen now, and its values came from campaigns with
+// this process's parameters. Two cases qualify:
+//
+//   - warm starts on: GlobalSubjects would publish the subject without any
+//     gossip (core.Republished) — no raters, a single sparse rater, or a
+//     recorded state converged on exactly this column;
+//   - warm starts off with FixedEpochSeed (cluster mode): every campaign is
+//     a cold run from the same seed over the same column, so it reproduces
+//     the previous value exactly. The previous fold must have converged,
+//     so the new fold's Converged flag stays truthful.
+//
+// Everything else runs as it would in a whole-shard fold: per-epoch seeds
+// without warm starts, unconverged states, and the first fold of a
+// boot-loaded or bootstrap-installed segment.
+func (s *Service) foldShard(shard int, changed []int, epoch, seq uint64, p core.Params) (*store.ShardSnapshot, int64, error) {
 	subjects := store.ShardSubjects(s.n, shard, s.shards)
 	freezeStart := time.Now()
 	cols, err := s.cells.Freeze(subjects)
@@ -886,24 +931,66 @@ func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store
 	// The snapshot publishes the root's view alone, so the campaigns need
 	// not allocate a dense result column per subject.
 	p.RootOnly = true
+	prev := s.states[shard].Load()
+	var prevWarm []*gossip.CampaignState
 	if s.warmOK {
 		p.KeepStates = true
-		prev := s.states[shard].Load()
 		if prev != nil && prev.Warm != nil && len(prev.Warm) == len(subjects) &&
 			prev.Shards == s.shards && prev.N == s.n && prev.GraphFP == s.graphFP {
-			warm := prev.Warm
+			prevWarm = prev.Warm
 			shards := s.shards
 			p.Warm = func(j int) *gossip.CampaignState {
-				return warm[store.SlotOf(j, shards)]
+				return prevWarm[store.SlotOf(j, shards)]
 			}
 		}
 	}
+
+	global := make([]float64, len(subjects))
+	raters := make([]int, len(subjects))
+	var warm []*gossip.CampaignState
+	if p.KeepStates {
+		warm = make([]*gossip.CampaignState, len(subjects))
+	}
+	mustRun := make([]bool, len(subjects))
+	for _, j := range changed {
+		mustRun[store.SlotOf(j, s.shards)] = true
+	}
+	own := prev != nil && prev == s.lastFold[shard]
+	var run []int
+	carried := 0
+	for k, j := range subjects {
+		if !mustRun[k] && own {
+			_, ids, vals := cols.ColumnAt(k)
+			switch {
+			case s.warmOK:
+				// An own warm-mode fold always recorded a warm slice.
+				if g, keep, ok := core.Republished(s.n, prevWarm[k], ids, vals, p); ok {
+					global[k], raters[k], warm[k] = g, len(ids), keep
+					carried++
+					continue
+				}
+			case s.cfg.FixedEpochSeed && prev.Converged:
+				global[k], raters[k] = prev.Global[k], len(ids)
+				carried++
+				continue
+			}
+		}
+		run = append(run, j)
+	}
+
 	start := time.Now()
-	res, err := core.GlobalSubjects(s.cfg.Graph, cols, subjects, p)
+	res, err := core.GlobalSubjects(s.cfg.Graph, cols, run, p)
 	if err != nil {
 		return nil, 0, fmt.Errorf("service: epoch %d shard %d gossip: %w", epoch, shard, err)
 	}
 	elapsed := time.Since(start)
+	for x, j := range run {
+		k := store.SlotOf(j, s.shards)
+		global[k], raters[k] = res.Global[x], res.Raters[x]
+		if warm != nil {
+			warm[k] = res.States[x]
+		}
+	}
 	if h := s.stepsHist.Load(); h != nil {
 		for _, st := range res.StepsBySubject {
 			if st >= 0 {
@@ -912,17 +999,18 @@ func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store
 		}
 	}
 
-	return &store.ShardSnapshot{
+	seg := &store.ShardSnapshot{
 		Shard:           shard,
 		Shards:          s.shards,
 		N:               s.n,
 		Epoch:           epoch,
 		Seq:             seq,
-		Global:          res.Global,
-		Raters:          res.Raters,
+		Global:          global,
+		Raters:          raters,
 		Steps:           res.Steps,
 		Converged:       res.Converged,
 		Computed:        res.Computed,
+		Carried:         carried,
 		TotalSteps:      res.TotalSteps,
 		WarmStarts:      res.WarmStarts,
 		ColdStarts:      res.ColdStarts,
@@ -930,8 +1018,10 @@ func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store
 		CreatedUnixNano: time.Now().UnixNano(),
 		GraphFP:         s.graphFP,
 		Cols:            cols,
-		Warm:            res.States,
-	}, freezeNs, nil
+		Warm:            warm,
+	}
+	s.lastFold[shard] = seg
+	return seg, freezeNs, nil
 }
 
 // persist makes one epoch's outcome durable: ledger fsync first (the boot

@@ -84,9 +84,10 @@ func TestShardedEpochMatchesGlobalAllBitwise(t *testing.T) {
 	}
 }
 
-// TestDirtyShardIncrementality is the O(k/S) criterion: an epoch with one of
-// S shards dirty runs only that shard's campaigns (asserted via the fold
-// counter) and republishes nothing else.
+// TestDirtyShardIncrementality is the O(changed subjects) criterion: an
+// epoch with one subject re-rated folds only that subject's shard, runs only
+// that subject's campaign (asserted via the fold counter), carries the
+// shard's other subjects forward bit for bit, and republishes nothing else.
 func TestDirtyShardIncrementality(t *testing.T) {
 	const n = 60
 	const shards = 6
@@ -110,7 +111,8 @@ func TestDirtyShardIncrementality(t *testing.T) {
 	before := s.View()
 
 	// Epoch 2: feedback for a single subject of shard 2 → exactly one shard
-	// folds, and only its rated subjects (all n/shards of them) recompute.
+	// folds, and only that subject's campaign runs; the shard's other
+	// subjects are carried forward.
 	if _, err := s.Submit(3, 2, 0.9); err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +124,11 @@ func TestDirtyShardIncrementality(t *testing.T) {
 	}
 	after := s.View()
 	perShard := n / shards
-	if got := s.FoldedSubjects(); got != uint64(n+perShard) {
-		t.Fatalf("incremental epoch ran %d campaigns total, want %d (+%d)", got, n+perShard, perShard)
+	if got := s.FoldedSubjects(); got != uint64(n+1) {
+		t.Fatalf("incremental epoch ran %d campaigns total, want %d (+1)", got, n+1)
+	}
+	if seg := after.Shard(2); seg.Computed != 1 || seg.Carried != perShard-1 {
+		t.Fatalf("dirty shard computed %d and carried %d subjects, want 1 and %d", seg.Computed, seg.Carried, perShard-1)
 	}
 	if got := s.FoldedShards(); got != shards+1 {
 		t.Fatalf("incremental epoch folded %d shards total, want %d", got, shards+1)
@@ -142,13 +147,13 @@ func TestDirtyShardIncrementality(t *testing.T) {
 			t.Fatalf("clean shard %d was republished", sh)
 		}
 	}
-	// The recomputed value reflects the new feedback; clean subjects keep
-	// their exact previous bits.
+	// The recomputed value reflects the new feedback; every other subject,
+	// in the dirty shard too, keeps its exact previous bits.
 	if got, _ := after.Reputation(2); math.Abs(got-0.9) > epsTol {
 		t.Fatalf("subject 2 after incremental fold = %v, want ≈0.9", got)
 	}
 	for j := 0; j < n; j++ {
-		if store.ShardOf(j, shards) == 2 {
+		if j == 2 {
 			continue
 		}
 		b, _ := before.Reputation(j)

@@ -26,6 +26,9 @@ type ShardTrace struct {
 	Steps     int  `json:"steps"`
 	Converged bool `json:"converged"`
 	Computed  int  `json:"computed_subjects"`
+	// Carried counts the subjects republished from the shard's previous
+	// publication without running their campaigns (cells unchanged).
+	Carried int `json:"carried_subjects"`
 	// WarmStarts and ColdStarts split Computed by campaign seeding: from a
 	// previous epoch's recorded state, or from the trust column alone.
 	WarmStarts int `json:"warm_starts"`
@@ -44,6 +47,9 @@ type EpochTrace struct {
 	// DurationNs is the compute phase — fold, campaigns, publish — not the
 	// trailing persistence, which runs off the critical section.
 	DurationNs int64 `json:"duration_ns"`
+	// PersistNs is the persistence phase after it: the ledger fsync plus the
+	// folded shards' segment writes (0 without a data directory).
+	PersistNs int64 `json:"persist_ns"`
 	// Entries is the pending batch size folded; Seq the last ledger
 	// sequence it covered; DirtyShards how many shards it recomputed.
 	Entries     int    `json:"entries"`

@@ -102,12 +102,13 @@ func TestWarmEpochMatchesReference(t *testing.T) {
 // TestWarmStartTraceMetricsAgree pins the three observability surfaces to
 // one truth: the per-epoch trace rows' warm/cold splits sum to the service
 // counters, which are exactly what the Prometheus registry scrapes, the
-// campaign-steps histogram has observed every computed campaign, and the
+// campaign-steps histogram has observed every computed campaign, the
 // per-shard freeze and campaign histograms hold exactly the trace rows'
-// freeze_ns and duration_ns.
+// freeze_ns and duration_ns, and the persist histogram holds exactly their
+// persist_ns.
 func TestWarmStartTraceMetricsAgree(t *testing.T) {
 	const n = 40
-	s := newTestService(t, n, Config{Shards: 5})
+	s := newTestService(t, n, Config{Shards: 5, Dir: t.TempDir()})
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 
@@ -129,10 +130,15 @@ func TestWarmStartTraceMetricsAgree(t *testing.T) {
 		t.Fatalf("warm %d + cold %d != folded subjects %d", s.WarmStarts(), s.ColdStarts(), s.FoldedSubjects())
 	}
 
-	var traceWarm, traceCold, traceShards uint64
-	var traceFreeze, traceCampaign float64
+	var traceWarm, traceCold, traceShards, traceCarried uint64
+	var traceFreeze, traceCampaign, tracePersist float64
 	for _, row := range s.Trace() {
+		if row.PersistNs <= 0 {
+			t.Fatalf("epoch %d traced no persist time", row.Epoch)
+		}
+		tracePersist += float64(row.PersistNs) / 1e9
 		for _, sh := range row.Shards {
+			traceCarried += uint64(sh.Carried)
 			traceWarm += uint64(sh.WarmStarts)
 			traceCold += uint64(sh.ColdStarts)
 			traceShards++
@@ -145,6 +151,9 @@ func TestWarmStartTraceMetricsAgree(t *testing.T) {
 	}
 	if traceWarm != s.WarmStarts() || traceCold != s.ColdStarts() {
 		t.Fatalf("trace sums warm=%d cold=%d, counters %d/%d", traceWarm, traceCold, s.WarmStarts(), s.ColdStarts())
+	}
+	if traceCarried == 0 {
+		t.Fatal("no fold carried an unchanged subject forward")
 	}
 
 	var buf bytes.Buffer
@@ -189,6 +198,13 @@ func TestWarmStartTraceMetricsAgree(t *testing.T) {
 		if got := scraped(h.name + "_sum"); math.Abs(got-h.sum) > 1e-9*math.Max(1, h.sum) {
 			t.Fatalf("%s sums %v s, trace rows sum %v s", h.name, got, h.sum)
 		}
+	}
+	const persist = "diffgossip_service_epoch_persist_duration_seconds"
+	if got := scraped(persist + "_count"); got != float64(len(s.Trace())) || got != float64(s.Epochs()) {
+		t.Fatalf("%s observed %v epochs, trace has %d rows, %d epochs ran", persist, got, len(s.Trace()), s.Epochs())
+	}
+	if got := scraped(persist + "_sum"); math.Abs(got-tracePersist) > 1e-9*math.Max(1, tracePersist) {
+		t.Fatalf("%s sums %v s, trace rows sum %v s", persist, got, tracePersist)
 	}
 	// Stats mirrors the same counters.
 	st := s.Stats()

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -42,8 +42,8 @@ type CompactStats struct {
 }
 
 // compactCrash is a test seam simulating a crash inside Compact. When
-// non-nil it runs at each named stage ("tmp-written" — temp file durable,
-// not yet renamed; "renamed" — new file published, in-memory handles not yet
+// non-nil it runs at each named stage ("tmp-written" — temp file written,
+// not yet fsynced or renamed; "renamed" — new file published, in-memory handles not yet
 // swapped); a non-nil return aborts Compact there. Aborting at "renamed"
 // leaves the Ledger's open handle on the unlinked old inode, exactly like a
 // process kill at that instant — the test must discard the Ledger and reopen
@@ -96,10 +96,11 @@ func compactionKeep(entries []Feedback, n int, localOrigin string, folded func(F
 // Compact rewrites the backing WAL file keeping only the live subset of
 // entries (see compactionKeep), with their original lines — sequence
 // numbers, origin tags and timestamps unchanged — so a post-compaction
-// replay rebuilds identical in-memory state. The rewrite follows the same
-// crash contract as snapshot publication: temp file in the same directory,
-// fsync, rename over the ledger path, directory fsync — after a crash the
-// path holds either the old file or the compacted one, never a torn mix.
+// replay rebuilds identical in-memory state. The rewrite goes through
+// replaceFile, the same crash contract as snapshot publication: temp file in
+// the same directory, fsync, rename over the ledger path, directory fsync —
+// after a crash the path holds either the old file or the compacted one,
+// never a torn mix.
 // The in-memory pending window, history and watermarks are untouched.
 func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 	l.syncMu.Lock()
@@ -137,54 +138,37 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 		return cfg.FoldedSeq != nil && fb.Seq <= cfg.FoldedSeq(fb.Subject)
 	})
 
-	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, ".ledger-compact-*.tmp")
+	tmp, err := replaceFile(l.path, ".ledger-compact-*.tmp", func(f io.Writer) error {
+		w := bufio.NewWriter(f)
+		for i := range entries {
+			if !keep[i] {
+				continue
+			}
+			b, err := json.Marshal(entries[i])
+			if err != nil {
+				return fmt.Errorf("store: compact: encode entry: %w", err)
+			}
+			b = append(b, '\n')
+			if _, err := w.Write(b); err != nil {
+				return fmt.Errorf("store: compact: write: %w", err)
+			}
+			st.EntriesAfter++
+			st.BytesAfter += int64(len(b))
+		}
+		if err := w.Flush(); err != nil {
+			return fmt.Errorf("store: compact: flush: %w", err)
+		}
+		if compactCrash != nil {
+			return compactCrash("tmp-written")
+		}
+		return nil
+	})
 	if err != nil {
-		return st, fmt.Errorf("store: compact: temp file: %w", err)
-	}
-	fail := func(err error) (CompactStats, error) {
-		tmp.Close()
-		os.Remove(tmp.Name())
 		return st, err
-	}
-	w := bufio.NewWriter(tmp)
-	for i := range entries {
-		if !keep[i] {
-			continue
-		}
-		b, err := json.Marshal(entries[i])
-		if err != nil {
-			return fail(fmt.Errorf("store: compact: encode entry: %w", err))
-		}
-		b = append(b, '\n')
-		if _, err := w.Write(b); err != nil {
-			return fail(fmt.Errorf("store: compact: write: %w", err))
-		}
-		st.EntriesAfter++
-		st.BytesAfter += int64(len(b))
-	}
-	if err := w.Flush(); err != nil {
-		return fail(fmt.Errorf("store: compact: flush: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("store: compact: sync: %w", err))
-	}
-	if compactCrash != nil {
-		if err := compactCrash("tmp-written"); err != nil {
-			return fail(err)
-		}
-	}
-	if err := os.Rename(tmp.Name(), l.path); err != nil {
-		return fail(fmt.Errorf("store: compact: publish: %w", err))
-	}
-	if d, err := os.Open(dir); err == nil {
-		// Directory fsync makes the rename durable; best effort on
-		// filesystems that reject it.
-		d.Sync()
-		d.Close()
 	}
 	if compactCrash != nil {
 		if err := compactCrash("renamed"); err != nil {
+			tmp.Close()
 			return st, err
 		}
 	}
@@ -192,7 +176,7 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 	// ledger path) and is positioned at end-of-file, so it simply becomes
 	// the append handle — no reopen step that could fail half-swapped.
 	old := l.f
-	l.f, l.w = tmp, w
+	l.f, l.w = tmp, bufio.NewWriter(tmp)
 	l.goodOff = st.BytesAfter
 	l.mCompactions.Inc()
 	if d := st.EntriesBefore - st.EntriesAfter; d > 0 {

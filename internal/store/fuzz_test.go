@@ -168,7 +168,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 }
 
 // FuzzShardSnapshotLoad throws arbitrary bytes at the shard segment decoder
-// (which nests the trust columns decoder). It must reject corrupt input with
+// — the v3 flat format and the gob v1/v2 one, both nesting the trust columns
+// decoder. It must reject corrupt input with
 // an error — never a panic or an out-of-bounds allocation — and anything it
 // accepts must satisfy the segment's layout invariants.
 func FuzzShardSnapshotLoad(f *testing.F) {
@@ -187,8 +188,8 @@ func FuzzShardSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	// A second seed with a warm payload, so the fuzzer mutates the v2 fields
-	// too.
+	// A second seed with a warm payload, so the fuzzer mutates the warm
+	// fields too.
 	segs[1].GraphFP = 7
 	segs[1].Warm = []*gossip.CampaignState{
 		{Sparse: true, Raters: []int{1, 2}, PrevVals: []float64{0.5, 0.25},
@@ -200,6 +201,9 @@ func FuzzShardSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// The same segment as a pre-v3 gob encoding, so the legacy decoder stays
+	// under the fuzzer too.
+	f.Add(gobV2Segment(f, segs[1]))
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 

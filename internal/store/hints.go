@@ -132,52 +132,37 @@ func (hl *HintLog) Append(h Hint) error {
 	return nil
 }
 
-// Rewrite atomically replaces the whole log with hints — called after a
-// replay drains part of the queue, so delivered batches are not replayed
-// again across a restart. Any failure before the rename leaves the old file
-// and the old handle untouched; after the rename the temp handle itself
-// becomes the log's handle (the rename moves the inode, not the fd), so
-// there is no reopen step that could fail and leave the log pointing at a
-// closed file. A non-nil error after the swap means the replacement
-// succeeded but closing the previous handle failed; the log stays usable.
+// Rewrite atomically and durably replaces the whole log with hints (through
+// replaceFile) — called after a replay drains part of the queue, so
+// delivered batches are not replayed again across a restart. Any failure
+// before the rename leaves the old file and the old handle untouched; after
+// the rename the temp handle itself becomes the log's handle, so there is
+// no reopen step that could fail and leave the log pointing at a closed
+// file. A non-nil error after the swap means the replacement succeeded but
+// closing the previous handle failed; the log stays usable.
 func (hl *HintLog) Rewrite(hints []Hint) error {
-	tmp := hl.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: rewrite hint log: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, h := range hints {
-		b, err := json.Marshal(h)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("store: encode hint: %w", err)
+	f, err := replaceFile(hl.path, ".hints-*.tmp", func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		for _, h := range hints {
+			b, err := json.Marshal(h)
+			if err != nil {
+				return fmt.Errorf("store: encode hint: %w", err)
+			}
+			if _, err := bw.Write(append(b, '\n')); err != nil {
+				return fmt.Errorf("store: rewrite hint log: %w", err)
+			}
 		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			f.Close()
-			os.Remove(tmp)
+		if err := bw.Flush(); err != nil {
 			return fmt.Errorf("store: rewrite hint log: %w", err)
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: rewrite hint log: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: sync hint log: %w", err)
-	}
-	if err := os.Rename(tmp, hl.path); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: replace hint log: %w", err)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	oldErr := hl.f.Close()
 	hl.f = f
-	hl.w = w // w's buffer is flushed; appends continue at the file's end
+	hl.w = bufio.NewWriter(f) // appends continue at the file's end
 	hl.mRewrites.Inc()
 	if oldErr != nil {
 		return fmt.Errorf("store: close previous hint log handle: %w", oldErr)

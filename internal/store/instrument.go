@@ -9,6 +9,11 @@ import (
 // ledger, so the counter lives at package level and Instrument exposes it.
 var snapshotWrites obs.Counter
 
+// dirFsyncErrors counts failed directory fsyncs after a durable file replace
+// (segment, manifest, WAL compaction, hint-log rewrite), process-wide for
+// the same reason.
+var dirFsyncErrors obs.Counter
+
 // Instrument registers the ledger's store-layer metrics with reg: entry and
 // WAL-line append counters, fsync count and duration, and snapshot segment
 // writes. The counters are maintained unconditionally (single atomic adds on
@@ -31,6 +36,8 @@ func (l *Ledger) Instrument(reg *obs.Registry) {
 		"WAL fsync latency, in seconds.", h)
 	reg.Counter("diffgossip_store_snapshot_writes_total", "",
 		"Durable shard snapshot segment writes (process-wide).", &snapshotWrites)
+	reg.Counter("diffgossip_store_dir_fsync_errors_total", "",
+		"Directory fsyncs that failed after a durable file replace (process-wide); the replace itself stands, but its rename may not survive a crash.", &dirFsyncErrors)
 	reg.Counter("diffgossip_store_wal_compactions_total", "",
 		"WAL compaction rewrites completed.", &l.mCompactions)
 	reg.Counter("diffgossip_store_wal_compaction_dropped_entries_total", "",

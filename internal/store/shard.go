@@ -11,6 +11,7 @@ import (
 
 	"diffgossip/internal/gossip"
 	"diffgossip/internal/trust"
+	"diffgossip/internal/wire"
 )
 
 // This file is the sharded persistence format that replaced the single
@@ -47,12 +48,15 @@ type ShardSnapshot struct {
 	Global []float64
 	Raters []int
 	// Steps is the slowest campaign of the last fold; Converged is whether
-	// every campaign converged (vacuously true at boot). Computed counts
-	// the campaigns that actually ran in the last fold — the per-shard
-	// increment of the service's incrementality fold counter.
+	// every published value comes from a converged campaign (vacuously true
+	// at boot). Computed counts the campaigns that actually ran in the last
+	// fold — the per-shard increment of the service's incrementality fold
+	// counter. Carried counts the subjects the last fold republished from
+	// the shard's previous publication without running their campaigns.
 	Steps     int
 	Converged bool
 	Computed  int
+	Carried   int
 	// TotalSteps sums every campaign's step count in the last fold;
 	// WarmStarts/ColdStarts split Computed by how each campaign was seeded.
 	TotalSteps             int
@@ -117,8 +121,22 @@ func (s *ShardSnapshot) RaterCount(j int) int {
 	return s.Raters[SlotOf(j, s.Shards)]
 }
 
-// shardWire is the gob representation of a segment; the frozen columns ride
-// as their own payload so trust's versioned wire format is reused.
+// segmentMagic opens a version-3 segment. Like trust's columns magic, its
+// first byte can never start a gob stream, so LoadShardSnapshot tells v3
+// from the gob-encoded v1/v2 segments by the first byte.
+var segmentMagic = []byte("\x89DGS")
+
+// shardWireVersion 3 is the flat little-endian format (internal/wire) Save
+// writes. Versions 1 and 2 were gob-encoded shardWire values: version 2
+// added TotalSteps/WarmStarts/ColdStarts, GraphFP and the Warm payload, and
+// version-1 segments lack them, so every campaign restarts cold after the
+// upgrade. Both still decode.
+const shardWireVersion = 3
+
+// shardWire is a decoded segment before validation. The gob decoder of
+// versions 1 and 2 fills it directly (columns in Cols as their own gob
+// payload); the v3 decoder fills it field by field and decodes the columns
+// inline.
 type shardWire struct {
 	Version          int
 	Shard, Shards, N int
@@ -128,6 +146,7 @@ type shardWire struct {
 	Steps            int
 	Converged        bool
 	Computed         int
+	Carried          int
 	TotalSteps       int
 	WarmStarts       int
 	ColdStarts       int
@@ -140,7 +159,7 @@ type shardWire struct {
 
 // warmWire is a slot's campaign state on the wire. Gob cannot encode nil
 // pointers inside a slice, so absent states ride as the zero value with
-// Present=false instead of as nils.
+// Present=false instead of as nils; v3 keeps the same flag.
 type warmWire struct {
 	Present   bool
 	Sparse    bool
@@ -151,126 +170,204 @@ type warmWire struct {
 	Converged bool
 }
 
-// shardWireVersion 2 added TotalSteps/WarmStarts/ColdStarts, GraphFP and the
-// Warm payload. Version-1 segments decode fine — their warm fields are simply
-// absent, so every campaign restarts cold after the upgrade.
-const shardWireVersion = 2
-
 // maxShardWireN caps the node count accepted from a serialised segment,
 // mirroring trust's maxWireN: decode allocates Θ(N) before reading entries.
 const maxShardWireN = 1 << 24
 
-// Save serialises the segment with gob.
+// Save serialises the segment in the v3 format: the magic and version, the
+// fixed-width header, Global and Raters, the frozen columns (trust's flat
+// encoding, inline), then the warm states — a presence flag for the slice,
+// and per slot a presence flag and, when present, the state's flags, step
+// count, rater ids, recorded values and Y/G masses. The encoder streams, so
+// no second copy of the segment is built.
 func (s *ShardSnapshot) Save(w io.Writer) error {
-	var cb bytes.Buffer
-	if err := s.Cols.Save(&cb); err != nil {
-		return fmt.Errorf("store: encode shard columns: %w", err)
+	e := wire.NewEncoder(w)
+	e.Raw(segmentMagic)
+	e.Uint64(shardWireVersion)
+	for _, v := range []int64{
+		int64(s.Shard), int64(s.Shards), int64(s.N),
+		int64(s.Epoch), int64(s.Seq),
+		int64(s.Steps), int64(s.Computed), int64(s.Carried), int64(s.TotalSteps),
+		int64(s.WarmStarts), int64(s.ColdStarts),
+		s.ElapsedNs, s.CreatedUnixNano, int64(s.GraphFP),
+	} {
+		e.Int64(v)
 	}
-	wire := shardWire{
-		Version: shardWireVersion,
-		Shard:   s.Shard, Shards: s.Shards, N: s.N,
-		Epoch: s.Epoch, Seq: s.Seq,
-		Global: s.Global, Raters: s.Raters,
-		Steps: s.Steps, Converged: s.Converged, Computed: s.Computed,
-		TotalSteps: s.TotalSteps, WarmStarts: s.WarmStarts, ColdStarts: s.ColdStarts,
-		ElapsedNs: s.ElapsedNs, CreatedUnixNano: s.CreatedUnixNano,
-		GraphFP: s.GraphFP,
-		Cols:    cb.Bytes(),
-	}
+	e.Bool(s.Converged)
+	e.Float64s(s.Global)
+	e.Uint32s(s.Raters)
+	s.Cols.Encode(e)
+	e.Bool(s.Warm != nil)
 	if s.Warm != nil {
-		wire.Warm = make([]warmWire, len(s.Warm))
-		for k, ws := range s.Warm {
+		e.Uint64(uint64(len(s.Warm)))
+		for _, ws := range s.Warm {
+			e.Bool(ws != nil)
 			if ws == nil {
 				continue
 			}
-			wire.Warm[k] = warmWire{
-				Present: true, Sparse: ws.Sparse,
-				Raters: ws.Raters, PrevVals: ws.PrevVals,
-				Y: ws.Y, G: ws.G, Steps: ws.Steps, Converged: ws.Converged,
-			}
+			e.Bool(ws.Sparse)
+			e.Bool(ws.Converged)
+			e.Int64(int64(ws.Steps))
+			e.Uint32s(ws.Raters)
+			e.Float64s(ws.PrevVals)
+			e.Float64s(ws.Y)
+			e.Float64s(ws.G)
 		}
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
+	if err := e.Flush(); err != nil {
 		return fmt.Errorf("store: encode shard snapshot: %w", err)
 	}
 	return nil
 }
 
-// LoadShardSnapshot deserialises a segment written by Save, validating its
-// shape against the shard layout it claims.
+// LoadShardSnapshot deserialises a segment written by Save (v3) or by an
+// earlier gob-encoding release (v1/v2), validating its shape against the
+// shard layout it claims.
 func LoadShardSnapshot(r io.Reader) (*ShardSnapshot, error) {
-	var wire shardWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("store: decode shard snapshot: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: read shard snapshot: %w", err)
 	}
-	if wire.Version < 1 || wire.Version > shardWireVersion {
-		return nil, fmt.Errorf("store: unsupported shard snapshot version %d", wire.Version)
+	var sw shardWire
+	var cols *trust.Columns
+	if bytes.HasPrefix(b, segmentMagic) {
+		sw, cols, err = decodeSegment(b)
+	} else {
+		sw, cols, err = decodeGobSegment(b)
 	}
-	if wire.N < 0 || wire.Shards < 1 || wire.Shard < 0 || wire.Shard >= wire.Shards {
-		return nil, fmt.Errorf("store: malformed shard snapshot header")
-	}
-	if wire.N > maxShardWireN {
-		// Bound before ShardSubjects allocates Θ(N) — a corrupt header must
-		// be an error, not an out-of-range allocation (same guard class as
-		// trust's maxWireN, found by fuzzing the legacy snapshot decoder).
-		return nil, fmt.Errorf("store: shard snapshot size %d exceeds the wire-format bound %d", wire.N, maxShardWireN)
-	}
-	want := len(ShardSubjects(wire.N, wire.Shard, wire.Shards))
-	if len(wire.Global) != want || len(wire.Raters) != want {
-		return nil, fmt.Errorf("store: shard snapshot has %d/%d slots, want %d", len(wire.Global), len(wire.Raters), want)
-	}
-	cols, err := trust.LoadColumns(bytes.NewReader(wire.Cols))
 	if err != nil {
 		return nil, err
 	}
-	if cols.N() != wire.N || len(cols.Subjects()) != want {
+	want := len(ShardSubjects(sw.N, sw.Shard, sw.Shards))
+	if len(sw.Global) != want || len(sw.Raters) != want {
+		return nil, fmt.Errorf("store: shard snapshot has %d/%d slots, want %d", len(sw.Global), len(sw.Raters), want)
+	}
+	if cols.N() != sw.N || len(cols.Subjects()) != want {
 		return nil, fmt.Errorf("store: shard snapshot columns do not match the shard layout")
 	}
 	for k, j := range cols.Subjects() {
-		if j != wire.Shard+k*wire.Shards {
+		if j != sw.Shard+k*sw.Shards {
 			return nil, fmt.Errorf("store: shard snapshot column %d holds subject %d", k, j)
 		}
 	}
-	warm, err := decodeWarm(wire, want)
+	warm, err := decodeWarm(sw.Warm, sw.N, want)
 	if err != nil {
 		return nil, err
 	}
 	return &ShardSnapshot{
-		Shard: wire.Shard, Shards: wire.Shards, N: wire.N,
-		Epoch: wire.Epoch, Seq: wire.Seq,
-		Global: wire.Global, Raters: wire.Raters,
-		Steps: wire.Steps, Converged: wire.Converged, Computed: wire.Computed,
-		TotalSteps: wire.TotalSteps, WarmStarts: wire.WarmStarts, ColdStarts: wire.ColdStarts,
-		ElapsedNs: wire.ElapsedNs, CreatedUnixNano: wire.CreatedUnixNano,
-		GraphFP: wire.GraphFP,
+		Shard: sw.Shard, Shards: sw.Shards, N: sw.N,
+		Epoch: sw.Epoch, Seq: sw.Seq,
+		Global: sw.Global, Raters: sw.Raters,
+		Steps: sw.Steps, Converged: sw.Converged, Computed: sw.Computed, Carried: sw.Carried,
+		TotalSteps: sw.TotalSteps, WarmStarts: sw.WarmStarts, ColdStarts: sw.ColdStarts,
+		ElapsedNs: sw.ElapsedNs, CreatedUnixNano: sw.CreatedUnixNano,
+		GraphFP: sw.GraphFP,
 		Cols:    cols,
 		Warm:    warm,
 	}, nil
+}
+
+// checkHeader validates a decoded segment's layout. It must pass before
+// anything allocates Θ(N): a corrupt header is an error, not an
+// out-of-range allocation (same guard class as trust's maxWireN, found by
+// fuzzing the legacy snapshot decoder).
+func (sw *shardWire) checkHeader() error {
+	if sw.N < 0 || sw.Shards < 1 || sw.Shard < 0 || sw.Shard >= sw.Shards {
+		return fmt.Errorf("store: malformed shard snapshot header")
+	}
+	if sw.N > maxShardWireN {
+		return fmt.Errorf("store: shard snapshot size %d exceeds the wire-format bound %d", sw.N, maxShardWireN)
+	}
+	return nil
+}
+
+// decodeSegment parses a v3 segment. Every array length is checked against
+// the bytes left before it allocates (internal/wire), and the columns get
+// trust's full validation; the warm payload is validated by decodeWarm.
+func decodeSegment(b []byte) (shardWire, *trust.Columns, error) {
+	d := wire.NewDecoder(b)
+	d.Raw(len(segmentMagic))
+	sw := shardWire{Version: int(d.Uint64())}
+	if d.Err() == nil && sw.Version != shardWireVersion {
+		return sw, nil, fmt.Errorf("store: unsupported shard snapshot version %d", sw.Version)
+	}
+	sw.Shard, sw.Shards, sw.N = int(d.Int64()), int(d.Int64()), int(d.Int64())
+	sw.Epoch, sw.Seq = d.Uint64(), d.Uint64()
+	sw.Steps, sw.Computed, sw.Carried, sw.TotalSteps = int(d.Int64()), int(d.Int64()), int(d.Int64()), int(d.Int64())
+	sw.WarmStarts, sw.ColdStarts = int(d.Int64()), int(d.Int64())
+	sw.ElapsedNs, sw.CreatedUnixNano, sw.GraphFP = d.Int64(), d.Int64(), d.Uint64()
+	sw.Converged = d.Bool()
+	if d.Err() == nil {
+		if err := sw.checkHeader(); err != nil {
+			return sw, nil, err
+		}
+	}
+	sw.Global = d.Float64s()
+	sw.Raters = d.Uint32s()
+	cols := trust.DecodeColumns(d)
+	if d.Bool() {
+		// Each slot takes at least its presence byte, so the count is
+		// bounded by the input before the slot array is allocated.
+		sw.Warm = make([]warmWire, d.Int(d.Len()))
+		for k := range sw.Warm {
+			w := &sw.Warm[k]
+			if w.Present = d.Bool(); !w.Present {
+				continue
+			}
+			w.Sparse, w.Converged = d.Bool(), d.Bool()
+			w.Steps = int(d.Int64())
+			w.Raters = d.Uint32s()
+			w.PrevVals, w.Y, w.G = d.Float64s(), d.Float64s(), d.Float64s()
+		}
+	}
+	if d.Err() == nil && d.Len() != 0 {
+		d.Fail(fmt.Errorf("%d trailing bytes", d.Len()))
+	}
+	if d.Err() != nil {
+		return sw, nil, fmt.Errorf("store: decode shard snapshot: %w", d.Err())
+	}
+	return sw, cols, nil
+}
+
+// decodeGobSegment parses a v1 or v2 (gob) segment.
+func decodeGobSegment(b []byte) (shardWire, *trust.Columns, error) {
+	var sw shardWire
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&sw); err != nil {
+		return sw, nil, fmt.Errorf("store: decode shard snapshot: %w", err)
+	}
+	if sw.Version < 1 || sw.Version > 2 {
+		return sw, nil, fmt.Errorf("store: unsupported shard snapshot version %d", sw.Version)
+	}
+	if err := sw.checkHeader(); err != nil {
+		return sw, nil, err
+	}
+	cols, err := trust.LoadColumns(bytes.NewReader(sw.Cols))
+	return sw, cols, err
 }
 
 // decodeWarm validates and unpacks a segment's warm payload. Warm state is an
 // optimisation, not ground truth, but a corrupt segment must still fail
 // loudly rather than inject NaNs or negative weight mass into next epoch's
 // campaigns — the same strictness the column payload gets.
-func decodeWarm(wire shardWire, want int) ([]*gossip.CampaignState, error) {
-	if wire.Warm == nil {
+func decodeWarm(slots []warmWire, n, want int) ([]*gossip.CampaignState, error) {
+	if slots == nil {
 		return nil, nil
 	}
-	if len(wire.Warm) != want {
-		return nil, fmt.Errorf("store: shard snapshot has %d warm slots, want %d", len(wire.Warm), want)
+	if len(slots) != want {
+		return nil, fmt.Errorf("store: shard snapshot has %d warm slots, want %d", len(slots), want)
 	}
 	warm := make([]*gossip.CampaignState, want)
-	for k := range wire.Warm {
-		w := &wire.Warm[k]
+	for k := range slots {
+		w := &slots[k]
 		if !w.Present {
 			continue
 		}
-		if len(w.Raters) > wire.N || len(w.PrevVals) != len(w.Raters) {
+		if len(w.Raters) > n || len(w.PrevVals) != len(w.Raters) {
 			return nil, fmt.Errorf("store: warm slot %d has a malformed rater set", k)
 		}
 		prev := -1
 		for x, i := range w.Raters {
-			if i <= prev || i >= wire.N {
+			if i <= prev || i >= n {
 				return nil, fmt.Errorf("store: warm slot %d raters not strictly ascending in range", k)
 			}
 			prev = i
@@ -279,7 +376,7 @@ func decodeWarm(wire shardWire, want int) ([]*gossip.CampaignState, error) {
 				return nil, fmt.Errorf("store: warm slot %d value %v out of [0,1]", k, v)
 			}
 		}
-		size := wire.N
+		size := n
 		if w.Sparse {
 			size = len(w.Raters)
 		}

@@ -160,38 +160,67 @@ func (s *Snapshot) SaveFile(path string) error {
 	return writeFileAtomic(path, ".snapshot-*.tmp", s.Save)
 }
 
-// writeFileAtomic is the shared atomic-and-durable publication primitive:
-// write to a same-directory temp file, fsync, rename over path, fsync the
-// directory entry. After a crash the path holds either the old contents or
-// the complete new ones, never a torn file.
-func writeFileAtomic(path, tmpPattern string, write func(io.Writer) error) error {
+// replaceFile is the one atomic-and-durable file-replace primitive: write to
+// a same-directory temp file, fsync, rename over path, fsync the directory
+// entry. After a crash the path holds either the old contents or the
+// complete new ones, never a torn file. On success it returns the temp
+// handle, still open and positioned after the written bytes: the rename
+// moved its inode to path, so an append-mode owner (the WAL, the hint log)
+// keeps it as its new handle, with no reopen step that could fail and leave
+// it half-swapped. On failure the temp file is gone and path is untouched.
+func replaceFile(path, tmpPattern string, write func(io.Writer) error) (*os.File, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, tmpPattern)
 	if err != nil {
-		return fmt.Errorf("store: temp file: %w", err)
+		return nil, fmt.Errorf("store: temp file: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
+	fail := func(err error) (*os.File, error) {
 		tmp.Close()
-		return err
+		os.Remove(tmp.Name())
+		return nil, err
+	}
+	if err := write(tmp); err != nil {
+		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: sync %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: close %s: %w", filepath.Base(path), err)
+		return fail(fmt.Errorf("store: sync %s: %w", filepath.Base(path), err))
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: publish %s: %w", filepath.Base(path), err)
+		return fail(fmt.Errorf("store: publish %s: %w", filepath.Base(path), err))
 	}
-	if d, err := os.Open(dir); err == nil {
-		// Directory fsync makes the rename itself durable; best effort on
-		// filesystems that reject it.
-		d.Sync()
-		d.Close()
+	syncDir(dir)
+	return tmp, nil
+}
+
+// writeFileAtomic is replaceFile for callers that only publish the file.
+func writeFileAtomic(path, tmpPattern string, write func(io.Writer) error) error {
+	f, err := replaceFile(path, tmpPattern, write)
+	if err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("store: close %s: %w", filepath.Base(path), err)
 	}
 	return nil
+}
+
+// dirSync fsyncs an open directory. It is a variable only so tests can
+// inject a failure.
+var dirSync = (*os.File).Sync
+
+// syncDir fsyncs a directory, making a rename inside it durable. Some
+// filesystems reject directory fsync, so a failure does not fail the
+// replace; it is counted in diffgossip_store_dir_fsync_errors_total so an
+// operator can see that renames are not crash-durable on this disk.
+func syncDir(dir string) {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = dirSync(d)
+		d.Close()
+	}
+	if err != nil {
+		dirFsyncErrors.Inc()
+	}
 }
 
 // LoadSnapshotFile reads a snapshot written by SaveFile. It returns

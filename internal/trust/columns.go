@@ -3,6 +3,7 @@ package trust
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Reader is the read-only surface the reputation evaluations
@@ -34,7 +35,9 @@ var (
 // GCLR-style evaluations can walk an observer's ratings without scanning
 // every column). The sharded service publishes one Columns per shard
 // snapshot; like a cloned Matrix it is immutable after construction, so any
-// number of readers may share it without locks.
+// number of readers may share it without locks. The row index is built on
+// the first row read (Get, Value, InteractedWith, RowOf), not at
+// construction: a shard freeze that only feeds campaigns never pays for it.
 //
 // Reads for subjects outside the subset report "no entry" — the composite
 // view dispatches each subject to the shard that owns it.
@@ -48,10 +51,13 @@ var (
 type Columns struct {
 	n        int
 	subjects []int
-	slot     map[int]int       // subject -> position in subjects
-	raters   [][]int           // per slot, ascending; views into one flat backing
-	vals     [][]float64       // aligned with raters; views into one flat backing
-	rows     []map[int]float64 // rows[i][j] = t_ij restricted to subjects; nil when empty
+	slot     map[int]int // subject -> position in subjects
+	flatIDs  []int       // every rater id, slot by slot: the CSC backing
+	flatVals []float64   // aligned with flatIDs
+	raters   [][]int     // per slot, ascending; views into flatIDs
+	vals     [][]float64 // aligned with raters; views into flatVals
+	rowsOnce sync.Once
+	rows     []map[int]float64 // rows[i][j] = t_ij restricted to subjects; built by rowIndex
 }
 
 // ColumnsOf freezes the given subject columns of m. The subjects must be
@@ -81,7 +87,6 @@ func BuildColumns(n int, subjects []int, appendCol func(j int, ids []int, vals [
 		offs[s+1] = len(ids)
 	}
 	c.attachFlat(ids, vals, offs)
-	c.buildRows()
 	return c, nil
 }
 
@@ -89,6 +94,7 @@ func BuildColumns(n int, subjects []int, appendCol func(j int, ids []int, vals [
 // backing, slot s owning [offs[s], offs[s+1]). Full-capacity slicing keeps a
 // stray append on one view from clobbering its neighbour.
 func (c *Columns) attachFlat(ids []int, vals []float64, offs []int) {
+	c.flatIDs, c.flatVals = ids, vals
 	for s := range c.subjects {
 		lo, hi := offs[s], offs[s+1]
 		c.raters[s] = ids[lo:hi:hi]
@@ -96,49 +102,66 @@ func (c *Columns) attachFlat(ids []int, vals []float64, offs []int) {
 	}
 }
 
-// NewColumns assembles a frozen Columns from raw per-subject rater lists —
-// the decode path of the shard-snapshot wire format. Each raters[s] must be
-// strictly ascending with values in [0,1]; the entries are compacted into
-// the flat CSC backing, so the input slices stay the caller's.
+// NewColumns assembles a frozen Columns from raw per-subject rater lists.
+// Each raters[s] must be strictly ascending with values in [0,1]; the
+// entries are compacted into the flat CSC backing, so the input slices stay
+// the caller's.
 func NewColumns(n int, subjects []int, raters [][]int, vals [][]float64) (*Columns, error) {
+	if len(raters) != len(subjects) || len(vals) != len(subjects) {
+		return nil, fmt.Errorf("trust: columns payload has %d/%d columns, want %d", len(raters), len(vals), len(subjects))
+	}
+	var flatIDs []int
+	var flatVals []float64
+	counts := make([]int, len(subjects))
+	for s := range subjects {
+		if len(raters[s]) != len(vals[s]) {
+			return nil, fmt.Errorf("trust: column %d has %d raters but %d values", subjects[s], len(raters[s]), len(vals[s]))
+		}
+		counts[s] = len(raters[s])
+		flatIDs = append(flatIDs, raters[s]...)
+		flatVals = append(flatVals, vals[s]...)
+	}
+	return newColumnsFlat(n, subjects, counts, flatIDs, flatVals)
+}
+
+// newColumnsFlat assembles a frozen Columns over one flat (ids, vals)
+// backing, which it keeps: slot s owns the next counts[s] entries. It is the
+// decode path of the flat wire format, so it checks everything — shape,
+// ranges, rater order and values.
+func newColumnsFlat(n int, subjects, counts, ids []int, vals []float64) (*Columns, error) {
 	c, err := newColumnsShell(n, subjects)
 	if err != nil {
 		return nil, err
 	}
-	if len(raters) != len(subjects) || len(vals) != len(subjects) {
-		return nil, fmt.Errorf("trust: columns payload has %d/%d columns, want %d", len(raters), len(vals), len(subjects))
+	if len(counts) != len(subjects) || len(ids) != len(vals) {
+		return nil, fmt.Errorf("trust: malformed columns payload")
 	}
-	total := 0
-	for s := range subjects {
-		ids, vs := raters[s], vals[s]
-		if len(ids) != len(vs) {
-			return nil, fmt.Errorf("trust: column %d has %d raters but %d values", subjects[s], len(ids), len(vs))
+	offs := make([]int, len(subjects)+1)
+	for s, cnt := range counts {
+		// Subtraction form: offs[s]+cnt can overflow on a hostile count.
+		if cnt < 0 || cnt > len(ids)-offs[s] {
+			return nil, fmt.Errorf("trust: malformed columns payload")
 		}
+		offs[s+1] = offs[s] + cnt
 		prev := -1
-		for k, i := range ids {
+		for k := offs[s]; k < offs[s+1]; k++ {
+			i, v := ids[k], vals[k]
 			if i < 0 || i >= n {
 				return nil, fmt.Errorf("trust: column %d rater %d out of range [0,%d)", subjects[s], i, n)
 			}
 			if i <= prev {
 				return nil, fmt.Errorf("trust: column %d raters not strictly ascending", subjects[s])
 			}
-			if vs[k] < 0 || vs[k] > 1 || vs[k] != vs[k] {
-				return nil, fmt.Errorf("trust: column %d value %v out of [0,1]", subjects[s], vs[k])
+			if !(v >= 0 && v <= 1) { // rejects NaN too
+				return nil, fmt.Errorf("trust: column %d value %v out of [0,1]", subjects[s], v)
 			}
 			prev = i
 		}
-		total += len(ids)
 	}
-	flatIDs := make([]int, 0, total)
-	flatVals := make([]float64, 0, total)
-	offs := make([]int, len(subjects)+1)
-	for s := range subjects {
-		flatIDs = append(flatIDs, raters[s]...)
-		flatVals = append(flatVals, vals[s]...)
-		offs[s+1] = len(flatIDs)
+	if offs[len(subjects)] != len(ids) {
+		return nil, fmt.Errorf("trust: malformed columns payload")
 	}
-	c.attachFlat(flatIDs, flatVals, offs)
-	c.buildRows()
+	c.attachFlat(ids, vals, offs)
 	return c, nil
 }
 
@@ -162,17 +185,23 @@ func newColumnsShell(n int, subjects []int) (*Columns, error) {
 	return c, nil
 }
 
-// buildRows derives the row index from the column data.
-func (c *Columns) buildRows() {
-	c.rows = make([]map[int]float64, c.n)
-	for s, j := range c.subjects {
-		for k, i := range c.raters[s] {
-			if c.rows[i] == nil {
-				c.rows[i] = make(map[int]float64)
+// rowIndex returns the row index, deriving it from the column data on
+// first use. Concurrent first readers block until the one build finishes,
+// then all share it.
+func (c *Columns) rowIndex() []map[int]float64 {
+	c.rowsOnce.Do(func() {
+		rows := make([]map[int]float64, c.n)
+		for s, j := range c.subjects {
+			for k, i := range c.raters[s] {
+				if rows[i] == nil {
+					rows[i] = make(map[int]float64)
+				}
+				rows[i][j] = c.vals[s][k]
 			}
-			c.rows[i][j] = c.vals[s][k]
 		}
-	}
+		c.rows = rows
+	})
+	return c.rows
 }
 
 // N returns the node-id bound.
@@ -205,10 +234,10 @@ func (c *Columns) ColumnAt(s int) (subject int, raters []int, vals []float64) {
 
 // Get returns t_ij and whether i has rated j (false for uncovered subjects).
 func (c *Columns) Get(i, j int) (float64, bool) {
-	if i < 0 || i >= c.n || c.rows[i] == nil {
+	if i < 0 || i >= c.n {
 		return 0, false
 	}
-	v, ok := c.rows[i][j]
+	v, ok := c.rowIndex()[i][j]
 	return v, ok
 }
 
@@ -235,11 +264,15 @@ func (c *Columns) ColumnSum(j int) (float64, int) {
 // InteractedWith returns the sorted subjects (within this column set) node i
 // holds direct trust about.
 func (c *Columns) InteractedWith(i int) []int {
-	if i < 0 || i >= c.n || c.rows[i] == nil {
+	if i < 0 || i >= c.n {
 		return nil
 	}
-	out := make([]int, 0, len(c.rows[i]))
-	for j := range c.rows[i] {
+	row := c.rowIndex()[i]
+	if row == nil {
+		return nil
+	}
+	out := make([]int, 0, len(row))
+	for j := range row {
 		out = append(out, j)
 	}
 	sort.Ints(out)
@@ -264,7 +297,7 @@ func (c *Columns) RowOf(i int) map[int]float64 {
 	if i < 0 || i >= c.n {
 		return nil
 	}
-	return c.rows[i]
+	return c.rowIndex()[i]
 }
 
 // NumEntries returns the number of stored (rater, subject) pairs.

@@ -1,9 +1,12 @@
 package trust
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
+
+	"diffgossip/internal/wire"
 )
 
 // matrixWire is the gob representation of a Matrix: a flat triple list, which
@@ -39,9 +42,8 @@ func (m *Matrix) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(wire)
 }
 
-// columnsWire is the gob representation of a frozen Columns: the subject
-// list plus one flat triple list, reusing the Matrix layout column by
-// column so the format stays compact and deterministic.
+// columnsWire is the version-1 (gob) representation of a frozen Columns,
+// kept so data written before the flat format still decodes.
 type columnsWire struct {
 	N        int
 	Subjects []int
@@ -51,52 +53,92 @@ type columnsWire struct {
 	Version  int
 }
 
-// Save serialises the column set with gob, deterministically (subjects in
-// construction order, raters ascending).
+// columnsMagic opens the flat columns encoding that replaced version-1 gob.
+// Its first byte can never start a gob stream — gob's leading message
+// length is either below 0x80 or a negated byte count of at most 8
+// (0xf8–0xff) — so LoadColumns tells the two formats apart from the first
+// byte.
+var columnsMagic = []byte("\x89DGC")
+
+// Save serialises the column set in the flat format (see Encode).
 func (c *Columns) Save(w io.Writer) error {
-	wire := columnsWire{N: c.n, Version: wireVersion}
-	for s := range c.subjects {
-		j, ids, vals := c.ColumnAt(s)
-		wire.Subjects = append(wire.Subjects, j)
-		wire.Counts = append(wire.Counts, len(ids))
-		wire.I = append(wire.I, ids...)
-		wire.V = append(wire.V, vals...)
+	e := wire.NewEncoder(w)
+	c.Encode(e)
+	if err := e.Flush(); err != nil {
+		return fmt.Errorf("trust: encode columns: %w", err)
 	}
-	return gob.NewEncoder(w).Encode(wire)
+	return nil
 }
 
-// LoadColumns deserialises a column set written by (*Columns).Save,
-// validating shape, ranges and ordering.
+// Encode appends the column set's flat encoding to e: the magic, N, the
+// subject ids, the per-subject entry counts, then every rater id and every
+// value in subject order (raters ascending). Identical column sets produce
+// identical bytes.
+func (c *Columns) Encode(e *wire.Encoder) {
+	e.Raw(columnsMagic)
+	e.Uint64(uint64(c.n))
+	e.Uint32s(c.subjects)
+	counts := make([]int, len(c.subjects))
+	for s := range c.subjects {
+		counts[s] = len(c.raters[s])
+	}
+	e.Uint32s(counts)
+	e.Uint32s(c.flatIDs)
+	e.Float64s(c.flatVals)
+}
+
+// DecodeColumns reads one flat column set from d, validating it exactly as
+// NewColumns does. On failure it records the error in d and returns nil.
+func DecodeColumns(d *wire.Decoder) *Columns {
+	if magic := d.Raw(len(columnsMagic)); d.Err() == nil && !bytes.Equal(magic, columnsMagic) {
+		d.Fail(fmt.Errorf("trust: not a flat columns payload"))
+	}
+	n := d.Int(maxWireN)
+	subjects := d.Uint32s()
+	counts := d.Uint32s()
+	ids := d.Uint32s()
+	vals := d.Float64s()
+	if d.Err() != nil {
+		return nil
+	}
+	c, err := newColumnsFlat(n, subjects, counts, ids, vals)
+	if err != nil {
+		d.Fail(err)
+		return nil
+	}
+	return c
+}
+
+// LoadColumns deserialises a column set written by (*Columns).Save — or by
+// the version-1 gob encoding that preceded it — validating shape, ranges and
+// ordering.
 func LoadColumns(r io.Reader) (*Columns, error) {
-	var wire columnsWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trust: read columns: %w", err)
+	}
+	if bytes.HasPrefix(b, columnsMagic) {
+		d := wire.NewDecoder(b)
+		c := DecodeColumns(d)
+		if d.Err() != nil {
+			return nil, fmt.Errorf("trust: decode columns: %w", d.Err())
+		}
+		if d.Len() != 0 {
+			return nil, fmt.Errorf("trust: %d trailing bytes after the columns payload", d.Len())
+		}
+		return c, nil
+	}
+	var cw columnsWire
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&cw); err != nil {
 		return nil, fmt.Errorf("trust: decode columns: %w", err)
 	}
-	if wire.Version != wireVersion {
-		return nil, fmt.Errorf("trust: unsupported columns version %d", wire.Version)
+	if cw.Version != wireVersion {
+		return nil, fmt.Errorf("trust: unsupported columns version %d", cw.Version)
 	}
-	if wire.N < 0 || wire.N > maxWireN || len(wire.Counts) != len(wire.Subjects) || len(wire.Subjects) > wire.N {
+	if cw.N < 0 || cw.N > maxWireN || len(cw.Subjects) > cw.N {
 		return nil, fmt.Errorf("trust: malformed columns payload")
 	}
-	if len(wire.I) != len(wire.V) {
-		return nil, fmt.Errorf("trust: malformed columns payload")
-	}
-	raters := make([][]int, len(wire.Subjects))
-	vals := make([][]float64, len(wire.Subjects))
-	off := 0
-	for s, cnt := range wire.Counts {
-		// Subtraction form: off+cnt can overflow on a hostile count.
-		if cnt < 0 || cnt > len(wire.I)-off {
-			return nil, fmt.Errorf("trust: malformed columns payload")
-		}
-		raters[s] = wire.I[off : off+cnt]
-		vals[s] = wire.V[off : off+cnt]
-		off += cnt
-	}
-	if off != len(wire.I) {
-		return nil, fmt.Errorf("trust: malformed columns payload")
-	}
-	return NewColumns(wire.N, wire.Subjects, raters, vals)
+	return newColumnsFlat(cw.N, cw.Subjects, cw.Counts, cw.I, cw.V)
 }
 
 // Load deserialises a matrix written by Save, validating every entry.
